@@ -22,6 +22,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import ZeroEpsilonError
+from .field import DIFFERENCE_VARS
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,8 +57,12 @@ def contact_order(eps, probes, flat_bound=10.0) -> ContactReport:
 
     The flag is set when k is strictly increasing over the probes (ordered
     large to small) and exceeds ``flat_bound`` at the smallest one.  An
-    exactly zero gap is reported as coincidence, not as an error.
+    exactly zero gap is reported as coincidence, not as an error.  Probes
+    must lie in (0, 1), where log x is negative.
     """
+    bad = [x for x in probes if not 0 < x < 1]
+    if bad:
+        raise ValueError(f"contact probes must lie in (0, 1); got {bad}")
     rows = []
     for x in probes:
         v = eps(x)
@@ -164,25 +169,31 @@ class CensusEntry:
 def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
     """Strict sign changes of each expression along the pair, crossings bisected.
 
-    ``window`` restricts to [x_lo, x_hi].  For one-signed expressions the
-    fitted slope of log|f| against log x over the window is reported as a
-    lower-bound exponent diagnostic (a power-law floor candidate).
+    Samples are the stored knots of the shared grid (dense output there
+    returns the knot rows bit for bit); dense output is used only between
+    knots, by the bisection.  ``window`` restricts to [x_lo, x_hi].  For
+    one-signed expressions the fitted slope of log|f| against log x over the
+    window is reported as a lower-bound exponent diagnostic (a power-law
+    floor candidate).
     """
+    if not np.array_equal(gamma.xs, eps.xs):
+        raise ValueError("the census needs gamma and eps on one grid")
     xs = np.asarray(gamma.xs, dtype=float)
+    mask = np.ones(len(xs), dtype=bool)
     if window is not None:
         lo, hi = window
         mask = (xs >= lo) & (xs <= hi)
-        xs = xs[mask]
+    xs = xs[mask]
     if len(xs) < 2:
         raise ValueError("census window holds fewer than two samples")
+    rows = np.column_stack([xs, gamma.ys[mask], eps.ys[mask]]).tolist()
 
     entries = []
     for e in exprs:
-        tree = e if not isinstance(e, str) else _expr.parse_expr(
-            e, ("x", "y1", "y2", "z1", "z2")
-        )
+        tree = e if not isinstance(e, str) else _expr.parse_expr(e, DIFFERENCE_VARS)
         text = _expr.to_text(tree)
-        fvals = [_census_value(tree, gamma, eps, x) for x in xs]
+        f = _expr.compile_expr(tree, DIFFERENCE_VARS)
+        fvals = [f(row) for row in rows]
         crossings = []
         changes = 0
         last_sign = 0
@@ -193,9 +204,9 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
             if last_sign != 0 and s != last_sign:
                 changes += 1
                 if i > 0:
-                    crossings.append(
-                        _bisect_crossing(tree, gamma, eps, xs[i - 1], xs[i], refine_rel)
-                    )
+                    crossings.append(_bisect_crossing(
+                        f, gamma, eps, xs[i - 1], fvals[i - 1], xs[i], refine_rel
+                    ))
             last_sign = s
         decay = None
         if changes == 0 and all(v != 0 for v in fvals):
@@ -210,24 +221,21 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
     return entries
 
 
-def _census_value(tree, gamma, eps, x):
+def _dense_value(f, gamma, eps, x):
     g = gamma(x)
     z = eps(x)
-    env = {"x": float(x), "y1": float(g[0]), "y2": float(g[1]),
-           "z1": float(z[0]), "z2": float(z[1])}
-    return _expr.evaluate(tree, env)
+    return f((float(x), float(g[0]), float(g[1]), float(z[0]), float(z[1])))
 
 
 def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _bisect_crossing(tree, gamma, eps, x_hi, x_lo, refine_rel):
+def _bisect_crossing(f, gamma, eps, x_hi, f_hi, x_lo, refine_rel):
     # trajectory grids are decreasing: x_hi > x_lo
-    f_hi = _census_value(tree, gamma, eps, x_hi)
     while (x_hi - x_lo) > refine_rel * x_hi:
         mid = 0.5 * (x_hi + x_lo)
-        f_mid = _census_value(tree, gamma, eps, mid)
+        f_mid = _dense_value(f, gamma, eps, mid)
         if _sign(f_mid) == 0:
             return mid
         if _sign(f_mid) == _sign(f_hi):

@@ -17,6 +17,7 @@ other structure is kept verbatim so that parse -> print -> parse is stable.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,38 +289,10 @@ def rename_vars(node, mapping):
 
 def fold_constant(node):
     """Fraction value of a constant expression, or None if variables occur."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    try:
+        return compile_expr(node, (), Fraction)(())
+    except (UnknownIdentifierError, EvaluationSingularityError):
         return None
-    if isinstance(node, Neg):
-        v = fold_constant(node.arg)
-        return None if v is None else -v
-    if isinstance(node, BinOp):
-        a, b = fold_constant(node.lhs), fold_constant(node.rhs)
-        if a is None or b is None:
-            return None
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            return None
-        return a / b
-    if isinstance(node, Pow):
-        v = fold_constant(node.base)
-        if v is None or (v == 0 and node.exponent < 0):
-            return None
-        return v**node.exponent
-    if isinstance(node, Call):
-        return None
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def is_zero_expr(node):
-    return fold_constant(node) == 0
 
 
 # -- evaluation ----------------------------------------------------------
@@ -362,52 +335,74 @@ def evaluate(node, env):
 
 
 def evaluate_mp(node, env, prec=160):
-    """Big-float evaluation (mpmath at ``prec`` bits).
-
-    Used where float64 evaluation would cancel catastrophically, e.g. the
-    gap equations f1(x, y+z) - f1(x, y) when ||z|| is many orders below the
-    solution scale.  ``env`` values may be floats; they are taken exactly.
-    """
+    """Big-float evaluation (mpmath at ``prec`` bits); ``env`` values are taken exactly."""
     import mpmath
 
+    names = tuple(env)
     with mpmath.workprec(prec):
-        return _eval_mp(node, env)
+        f = compile_expr(node, names, lambda q: mpmath.mpf(q.numerator) / q.denominator)
+        return f(tuple(mpmath.mpf(env[n]) for n in names))
 
 
-def _eval_mp(node, env):
-    import mpmath
+# -- compilation -----------------------------------------------------------
 
-    if isinstance(node, Num):
-        return mpmath.mpf(node.value.numerator) / node.value.denominator
-    if isinstance(node, Var):
-        try:
-            return mpmath.mpf(env[node.name])
-        except KeyError:
-            raise UnknownIdentifierError(f"no value bound for {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval_mp(node.arg, env)
-    if isinstance(node, BinOp):
-        a = _eval_mp(node.lhs, env)
-        b = _eval_mp(node.rhs, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise EvaluationSingularityError(to_text(node), env)
-        return a / b
-    if isinstance(node, Pow):
-        b = _eval_mp(node.base, env)
-        if node.exponent < 0 and b == 0:
-            raise EvaluationSingularityError(to_text(node), env)
-        return b**node.exponent
-    if isinstance(node, Call):
-        raise UnknownIdentifierError(
-            f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+
+def compile_expr(node, names, const=float):
+    """Nested closures taking a sequence of values, one per entry of ``names``.
+
+    Arithmetic uses the values' own operators (floats, mpf, Fraction or
+    ``polynomial.RationalFunction``); ``const`` maps literals into that
+    algebra.  Float results equal ``evaluate``'s bit for bit.  A zero divisor
+    raises EvaluationSingularityError naming the sub-expression and the point.
+    """
+    names = tuple(names)
+
+    def build(node):
+        if isinstance(node, Num):
+            c = const(node.value)
+            return lambda a: c
+        if isinstance(node, Var):
+            if node.name not in names:
+                raise UnknownIdentifierError(f"no value bound for {node.name!r}")
+            return operator.itemgetter(names.index(node.name))
+        if isinstance(node, Neg):
+            arg = build(node.arg)
+            return lambda a: -arg(a)
+        if isinstance(node, BinOp):
+            lhs, rhs = build(node.lhs), build(node.rhs)
+            if node.op == "+":
+                return lambda a: lhs(a) + rhs(a)
+            if node.op == "-":
+                return lambda a: lhs(a) - rhs(a)
+            if node.op == "*":
+                return lambda a: lhs(a) * rhs(a)
+
+            def divide(a):
+                num, den = lhs(a), rhs(a)
+                if den == 0:
+                    raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
+                return num / den
+
+            return divide
+        if isinstance(node, Pow):
+            base, n = build(node.base), node.exponent
+            if n >= 0:
+                return lambda a: base(a) ** n
+
+            def reciprocal_power(a):
+                b = base(a)
+                if b == 0:
+                    raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
+                return b**n
+
+            return reciprocal_power
+        if isinstance(node, Call):
+            raise UnknownIdentifierError(
+                f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
+            )
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return build(node)
 
 
 # -- series substitution --------------------------------------------------

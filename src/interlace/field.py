@@ -4,14 +4,15 @@ Provides substitution of formal curves into field components, the formal
 invariance test  xi o C = h * C'  with series multiplier h, reduction to the
 planar nonautonomous system in the x-chart (f1 = xi_y/xi_x, f2 = xi_z/xi_x
 with y, z renamed y1, y2), and the associated difference system in
-(x, y1, y2, z1, z2) whose z-part tracks the gap between two solutions
-without catastrophic cancellation.
+(x, y1, y2, z1, z2) whose z-part tracks the gap between two solutions as
+exact difference quotients, free of cancellation at the solution's scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import expr as _expr
 from . import series as _series
@@ -22,6 +23,7 @@ from .errors import (
     NonUnitDivisorError,
     OrderExceededError,
 )
+from .polynomial import RationalFunction
 
 FIELD_VARS = ("x", "y", "z")
 REDUCED_VARS = ("x", "y1", "y2")
@@ -31,14 +33,6 @@ DIFFERENCE_VARS = ("x", "y1", "y2", "z1", "z2")
 def parse_field_expr(text, variables=FIELD_VARS):
     """Parse one rational field component; E(..)/exp(..) are not field material."""
     return _expr.parse_expr(text, variables, allow_calls=False)
-
-
-def evaluate(e, point):
-    return _expr.evaluate(e, point)
-
-
-def substitute_series(e, curve_env):
-    return _expr.substitute_series(e, curve_env)
 
 
 @dataclass(frozen=True)
@@ -86,9 +80,14 @@ class ReducedSystem:
     def component_texts(self):
         return (_expr.to_text(self.f1), _expr.to_text(self.f2))
 
+    @cached_property
+    def _compiled(self):
+        return tuple(_expr.compile_expr(f, REDUCED_VARS) for f in (self.f1, self.f2))
+
     def rhs(self, x, y):
-        env = {"x": x, "y1": y[0], "y2": y[1]}
-        return (_expr.evaluate(self.f1, env), _expr.evaluate(self.f2, env))
+        a = (x, *map(float, y))
+        f1, f2 = self._compiled
+        return (f1(a), f2(a))
 
     @property
     def dimension(self):
@@ -99,11 +98,10 @@ class ReducedSystem:
 class DifferenceSystem:
     """The four-equation system for (y, z) = (one solution, gap to another).
 
-    The gap equations are literal differences f_i(x, y+z) - f_i(x, y), which
-    cancel catastrophically in float64 once ||z|| drops ~16 orders below the
-    solution scale (flat gaps do).  ``rhs`` switches those two components to
-    big-float evaluation with precision scaled to the gap ratio, keeping the
-    gap's relative accuracy tolerance-limited at any size.
+    f3 and f4 equal f_i(x, y+z) - f_i(x, y), built by ``difference_system``
+    as exact difference quotients in which every numerator term carries z1
+    or z2.  They keep the gap's relative accuracy at any gap size, down to
+    the float range, in plain float64.
     """
 
     f1: object
@@ -112,27 +110,15 @@ class DifferenceSystem:
     f4: object
     provenance: str = "direct"
 
-    CANCELLATION_RATIO = 1e-6
-
-    def component_texts(self):
-        return tuple(_expr.to_text(f) for f in (self.f1, self.f2, self.f3, self.f4))
+    @cached_property
+    def _compiled(self):
+        fs = (self.f1, self.f2, self.f3, self.f4)
+        return tuple(_expr.compile_expr(f, DIFFERENCE_VARS) for f in fs)
 
     def rhs(self, x, y):
-        env = {"x": x, "y1": y[0], "y2": y[1], "z1": y[2], "z2": y[3]}
-        v1 = _expr.evaluate(self.f1, env)
-        v2 = _expr.evaluate(self.f2, env)
-        zmag = max(abs(y[2]), abs(y[3]))
-        ymag = max(abs(y[0]), abs(y[1]), abs(x), 1e-300)
-        if zmag == 0.0:
-            return (v1, v2, 0.0, 0.0)
-        if zmag < self.CANCELLATION_RATIO * ymag:
-            prec = 80 + int(3.4 * max(0.0, math.log10(ymag / zmag)))
-            v3 = float(_expr.evaluate_mp(self.f3, env, prec))
-            v4 = float(_expr.evaluate_mp(self.f4, env, prec))
-        else:
-            v3 = _expr.evaluate(self.f3, env)
-            v4 = _expr.evaluate(self.f4, env)
-        return (v1, v2, v3, v4)
+        a = (x, *map(float, y))
+        f1, f2, f3, f4 = self._compiled
+        return (f1(a), f2(a), f3(a), f4(a))
 
     @property
     def dimension(self):
@@ -141,7 +127,7 @@ class DifferenceSystem:
 
 def chart_reduce(v: VectorField3) -> ReducedSystem:
     """Quotient by the x-component: f1 = xi_y/xi_x, f2 = xi_z/xi_x (y->y1, z->y2)."""
-    if _expr.is_zero_expr(v.xi_x):
+    if _expr.fold_constant(v.xi_x) == 0:
         raise NonAdaptedChartError(
             f"field {v.name!r} has identically zero x-component; the x-chart is not adapted"
         )
@@ -153,14 +139,21 @@ def chart_reduce(v: VectorField3) -> ReducedSystem:
 
 
 def difference_system(r: ReducedSystem) -> DifferenceSystem:
-    """Append z1' = f1(x, y+z) - f1(x, y) and likewise z2'; exact at z = 0."""
-    shifted = {
-        "y1": _expr.BinOp("+", _expr.Var("y1"), _expr.Var("z1")),
-        "y2": _expr.BinOp("+", _expr.Var("y2"), _expr.Var("z2")),
-    }
-    f3 = _expr.BinOp("-", _expr.rename_vars(r.f1, shifted), r.f1)
-    f4 = _expr.BinOp("-", _expr.rename_vars(r.f2, shifted), r.f2)
-    return DifferenceSystem(r.f1, r.f2, f3, f4, provenance=r.provenance)
+    """Append z1' = f1(x, y+z) - f1(x, y) and likewise z2', exact at any z.
+
+    With f = P/Q over Q[x, y1, y2], the difference is
+    [P(y+z)Q(y) - P(y)Q(y+z)] / [Q(y+z)Q(y)], or [P(y+z) - P(y)]/Q when Q
+    does not involve y.  The numerator is expanded exactly, so each of its
+    terms carries a factor z1 or z2 and it vanishes identically at z = 0.
+    """
+    x, y1, y2, z1, z2 = RationalFunction.variables(5)
+    const = RationalFunction.constant_maker(5)
+    gaps = []
+    for f in (r.f1, r.f2):
+        fn = _expr.compile_expr(f, REDUCED_VARS, const)
+        gap = fn((x, y1 + z1, y2 + z2)) - fn((x, y1, y2))
+        gaps.append(gap.to_expr(DIFFERENCE_VARS))
+    return DifferenceSystem(r.f1, r.f2, *gaps, provenance=r.provenance)
 
 
 @dataclass(frozen=True)
@@ -234,12 +227,16 @@ def _invariance(v, comps, order, tolerance):
     checked = min(checked, order - vpiv if h is not None else order)
     residuals = tuple(r.truncated(checked) for r in residuals)
 
+    # magnitudes stay in the coefficient domain: exact ones outgrow floats
+    max_res = _magnitude(residuals)
+    compared = list(images)
+    if h is not None:
+        compared.extend(h * d for d in derivs)
+    scale = max(_magnitude(compared), 1)
     if mode.exact:
         invariant = h is not None and all(r.is_zero() for r in residuals)
-        max_res, scale = _residual_scale(residuals, images, derivs, h)
         tol = 0.0
     else:
-        max_res, scale = _residual_scale(residuals, images, derivs, h)
         invariant = h is not None and max_res <= tolerance * scale
         tol = tolerance
     return InvarianceReport(
@@ -248,23 +245,19 @@ def _invariance(v, comps, order, tolerance):
         residuals=residuals,
         checked_order=checked,
         pivot_index=pivot,
-        max_residual=max_res,
-        scale=scale,
+        max_residual=_as_float(max_res),
+        scale=_as_float(scale),
         tolerance=tol,
     )
 
 
-def _residual_scale(residuals, images, derivs, h):
-    def mags(series_list):
-        out = 0.0
-        for s in series_list:
-            for coeff in s.coeffs:
-                out = max(out, abs(float(coeff)))
-        return out
+def _magnitude(series_list):
+    return max((abs(c) for s in series_list for c in s.coeffs), default=0)
 
-    max_res = mags(residuals)
-    compared = list(images)
-    if h is not None:
-        compared.extend(h * d for d in derivs)
-    scale = max(mags(compared), 1.0)
-    return max_res, scale
+
+def _as_float(value):
+    """Nearest float; inf beyond the float range, as mpmath's float() gives."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf

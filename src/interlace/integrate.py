@@ -9,7 +9,9 @@ rate to 0), a heuristic exposed as a flag.
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
 accuracy is set by the tolerance (the gap components get a zero absolute
-floor), never by cancellation between two large trajectories.
+floor), never by cancellation between two large trajectories.  The gap's
+right-hand side is an exact difference quotient evaluated in float64
+(``field.difference_system``), so this holds for gaps of any size.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ from . import sat as _sat
 from . import series as _series
 from .config import RunConfig
 from .curve import iterated_tangents, parse_curve
-from .expr import Num, Pow, Var, BinOp, Neg, parse_expr, to_text
+from .expr import compile_expr, parse_expr, to_text, variables_of
 from .field import ReducedSystem, VectorField3, invariance_check
 from .integrate import IVP, solve, solve_pair
+from .polynomial import RationalFunction
 from .registry import ENTRIES, RegistryEntry, get as get_entry
 from .series import EXACT, Poly, float_mode, q_short_check
 
@@ -152,6 +153,8 @@ def run_pair(config, entry=None, outdir=None):
             "rtol": config.rtol,
             "atol": config.atol,
             "n_steps": gamma.meta.get("n_steps"),
+            "n_rejected": gamma.meta.get("n_rejected"),
+            "max_error_ratio": gamma.meta.get("max_error_ratio"),
             "log_substitution": gamma.meta.get("log_substitution"),
         },
         "report": pair_report.to_json_dict(),
@@ -258,62 +261,17 @@ def _frac_str(a):
 def expr_to_poly(text, var=None) -> Poly:
     """Interpret an expression as a univariate rational polynomial."""
     tree = parse_expr(text, ("x", "t"))
-    names = sorted({n for n in _vars_of(tree)})
+    names = sorted(variables_of(tree))
     if len(names) > 1:
         raise ValueError(f"polynomial must use one variable, found {names}")
     name = var or (names[0] if names else "x")
-    coeffs = _poly_coeffs(tree)
-    return Poly.from_coeffs(coeffs, name)
-
-
-def _vars_of(tree):
-    from .expr import variables_of
-
-    return variables_of(tree)
-
-
-def _poly_coeffs(tree):
-    if isinstance(tree, Num):
-        return [tree.value]
-    if isinstance(tree, Var):
-        return [Fraction(0), Fraction(1)]
-    if isinstance(tree, Neg):
-        return [-c for c in _poly_coeffs(tree.arg)]
-    if isinstance(tree, BinOp):
-        a, b = _poly_coeffs(tree.lhs), _poly_coeffs(tree.rhs)
-        if tree.op == "+":
-            return _poly_add(a, b)
-        if tree.op == "-":
-            return _poly_add(a, [-c for c in b])
-        if tree.op == "*":
-            return _poly_mul(a, b)
-        if len(b) == 1 and b[0] != 0:
-            return [c / b[0] for c in a]
-        raise ValueError("polynomial division is only allowed by constants")
-    if isinstance(tree, Pow):
-        if tree.exponent < 0:
-            raise ValueError("negative powers are not polynomial")
-        out = [Fraction(1)]
-        base = _poly_coeffs(tree.base)
-        for _ in range(tree.exponent):
-            out = _poly_mul(out, base)
-        return out
-    raise ValueError(f"not polynomial material: {to_text(tree)!r}")
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    to_rational = compile_expr(tree, names, RationalFunction.constant_maker(1))
+    value = to_rational(RationalFunction.variables(1)[: len(names)])
+    if value.den.constant_value() != 1:
+        raise ValueError(f"not a polynomial: {text!r}")
+    return Poly.from_coeffs(
+        [value.num.terms.get((k,), 0) for k in range(value.num.degree_in(0) + 1)], name
+    )
 
 
 def run_qshort(config, entry=None):

@@ -105,6 +105,18 @@ def test_classify_pair_writes_all_artifacts(tmp_path):
     assert header == "x,y1,y2,z1,z2"
     svg = (out / "theta.svg").read_text()
     assert svg.startswith("<svg") and "href" not in svg
+    integrator = payload["integrator"]
+    assert integrator["n_rejected"] >= 0
+    assert 0 < integrator["max_error_ratio"] <= 1
+
+
+@pytest.mark.parametrize("probes", ["1.0", "0.5,1.5", "0.5,-0.1"])
+def test_contact_probes_outside_unit_interval_are_usage_errors(probes, capsys):
+    code = run(["classify-pair", "--example", "rotating", "--probes", probes])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "contact probes must lie in (0, 1)" in err
+    assert "Traceback" not in err
 
 
 def test_integrate_writes_trajectory(tmp_path):

@@ -18,6 +18,7 @@ from interlace.dichotomy import (
     winding,
 )
 from interlace.errors import ZeroEpsilonError
+from interlace.expr import compile_expr, evaluate, parse_expr
 from interlace.field import ReducedSystem
 from interlace.integrate import IVP, Trajectory, solve_pair
 
@@ -192,6 +193,39 @@ def test_census_crossings_match_angle_lattice():
     assert len(got) == len(want)
     for g, w_ in zip(got, want):
         assert g == pytest.approx(w_, rel=1e-5)
+
+
+def test_census_knot_samples_equal_dense_output_samples():
+    # sampling the stored knots gives exactly the values (and so the counts
+    # and crossings) that sampling dense output at the knots gives
+    gamma, eps = solve_pair(
+        IVP(rotating_system(0.1, 1), 1.0, 0.01, (0.0, 0.0)), (1.0, 0.0)
+    )
+    assert np.array_equal(gamma(gamma.xs), gamma.ys)
+    assert np.array_equal(eps(eps.xs), eps.ys)
+    names = ("x", "y1", "y2", "z1", "z2")
+    for text in ("z1", "z1*x - z2/10"):
+        tree = parse_expr(text, names)
+        f = compile_expr(tree, names)
+        dense = [evaluate(tree, dict(zip(names, (x, *gamma(x), *eps(x))))) for x in gamma.xs]
+        knots = [f((x, *g, *z)) for x, g, z in zip(gamma.xs, gamma.ys, eps.ys)]
+        assert dense == knots
+        entry = sign_census([text], gamma, eps)[0]
+        want = sum(1 for a, b in zip(dense, dense[1:]) if a * b < 0)
+        assert entry.sign_changes == len(entry.crossings) == want
+
+
+def test_census_window_and_grid_checks():
+    gamma, eps = euler_pair_trajectories()
+    full = sign_census(["x^2"], gamma, eps)[0]
+    windowed = sign_census(["x^2"], gamma, eps, window=(0.02, 0.2))[0]
+    assert windowed.decay_exponent == pytest.approx(2.0, abs=1e-6)
+    assert full.decay_exponent == pytest.approx(2.0, abs=1e-6)
+    with pytest.raises(ValueError):
+        sign_census(["z1"], gamma, eps, window=(0.6, 0.7))
+    other = Trajectory(eps.xs[::2], eps.ys[::2], eps.dys[::2])
+    with pytest.raises(ValueError):
+        sign_census(["z1"], gamma, other)
 
 
 def test_one_signed_power_law_gets_decay_exponent():

@@ -18,6 +18,7 @@ from interlace.expr import (
     Num,
     Pow,
     Var,
+    compile_expr,
     evaluate,
     evaluate_mp,
     fold_constant,
@@ -141,6 +142,44 @@ def test_parsed_trees_round_trip_exactly():
                  "1/2*x + 3/4", "x*y*z - x/(y*z)", "-(x + y)^3"):
         tree = parse_expr(text, XYZ)
         assert parse_expr(to_text(tree), XYZ) == tree
+
+
+# -- compiled closures against the tree-walker ----------------------------------
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn().hex())
+    except EvaluationSingularityError as err:
+        return ("singular", err.subexpr_text, err.point)
+    except OverflowError as err:
+        return ("overflow", type(err).__name__)
+
+
+_POINT = st.tuples(*[st.one_of(st.just(0.0), st.floats(-50, 50)) for _ in XYZ])
+
+
+@given(_expr_strategy(), _POINT)
+@settings(max_examples=400, deadline=None)
+def test_compiled_closures_match_tree_walker_bit_for_bit(tree, values):
+    env = dict(zip(XYZ, values))
+    f = compile_expr(tree, XYZ)
+    assert _outcome(lambda: f(values)) == _outcome(lambda: evaluate(tree, env))
+
+
+def test_compiled_zero_divisor_names_subexpression_and_point():
+    f = compile_expr(parse_expr("x + y/(z - 1)", XYZ), XYZ)
+    with pytest.raises(EvaluationSingularityError) as err:
+        f((2.0, 3.0, 1.0))
+    assert err.value.subexpr_text == "y/(z - 1)"
+    assert err.value.point == {"x": 2.0, "y": 3.0, "z": 1.0}
+
+
+def test_compile_rejects_unbound_names_and_calls():
+    with pytest.raises(UnknownIdentifierError):
+        compile_expr(parse_expr("x + y", XYZ), ("x",))
+    with pytest.raises(UnknownIdentifierError):
+        compile_expr(parse_expr("E(t)", ("t",), allow_calls=True), ("t",))
 
 
 # -- series substitution -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Vector fields: invariance multiplier, chart reduction, difference systems."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,9 @@ import pytest
 
 from interlace.curve import parse_curve
 from interlace.errors import NonAdaptedChartError
-from interlace.expr import evaluate, parse_expr, to_text
+from interlace.expr import BinOp, Var, evaluate, evaluate_mp, parse_expr, rename_vars, to_text
 from interlace.field import (
+    ReducedSystem,
     VectorField3,
     chart_reduce,
     difference_system,
@@ -149,6 +151,37 @@ def test_difference_matches_tree_subtraction_pointwise():
         assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+GAP_SYSTEMS = [
+    ("(y1-x)/x^2", "(y2-2*x)/(2*x^2)"),
+    ("(y1/10 - y2)/x^2", "(y2/10 + y1)/x^2"),
+    ("y1*y2/(x^2+y1)", "y1^2/x - 1/y2"),
+    ("((1+2*x)/(1+x)^2*y2 - x*(1+2*x)/(1+x))/x^2", "(y1 - y2)^3/(x*y1)"),
+]
+
+
+@pytest.mark.parametrize("f1, f2", GAP_SYSTEMS)
+def test_exact_gap_matches_bigfloat_literal_difference(f1, f2):
+    # the literal difference f(y+z) - f(y) at 400 bits keeps 40+ digits for
+    # gaps down to 1e-80.  The float64 quotient's error is set by how the
+    # expanded numerator cancels in (x, y), not by the gap size: the cubic
+    # (y1 - y2)^3 is worst here, 1.9e-10 at y1 - y2 = 3e-3
+    r = ReducedSystem.from_text(f1, f2)
+    d = difference_system(r)
+    shifted = {"y1": BinOp("+", Var("y1"), Var("z1")), "y2": BinOp("+", Var("y2"), Var("z2"))}
+    literal = [BinOp("-", rename_vars(f, shifted), f) for f in (r.f1, r.f2)]
+    rng = random.Random(5)
+    for _ in range(60):
+        x = rng.uniform(0.05, 1.0)
+        y1, y2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        scale = 10.0 ** -rng.randint(1, 80)
+        z1, z2 = (rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) * scale for _ in range(2))
+        got = d.rhs(x, (y1, y2, z1, z2))[2:]
+        env = {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
+        for g, tree in zip(got, literal):
+            want = float(evaluate_mp(tree, env, prec=400))
+            assert g == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_difference_system_small_gap_is_cancellation_free():
     # float64 subtraction would return garbage at this gap scale
     r = chart_reduce(XI1)
@@ -156,6 +189,29 @@ def test_difference_system_small_gap_is_cancellation_free():
     z1 = 1e-22
     got = d.rhs(0.02, (0.0204, 0.041, z1, 0.0))[2]
     assert got == pytest.approx(z1 / 0.02**2, rel=1e-12)
+
+
+def test_exact_invariance_with_coefficients_beyond_the_float_range():
+    # a line of slope ~2^1100 through the origin: invariant under the radial
+    # field, with images whose coefficients overflow a float conversion
+    big = 2**1100 + 1
+    curve = parse_curve(f"t, {big}*t, t", 6)
+    rep = invariance_check(RADIAL, curve, 5)
+    assert rep.invariant
+    assert rep.max_residual == 0.0
+    assert rep.scale == math.inf
+    bent = invariance_check(RADIAL, parse_curve(f"t, {big}*t + t^2, t", 6), 5)
+    assert not bent.invariant
+
+
+def test_float_invariance_tolerance_holds_beyond_the_float_range():
+    # the scaled tolerance is compared in big-float arithmetic, so a residual
+    # that is large relative to a scale beyond 1e308 is still caught
+    mode = float_mode(128)
+    rep = invariance_check(RADIAL, parse_curve("t, 2^1100*t, t", 6, mode), 5)
+    assert rep.invariant and rep.scale == math.inf
+    bent = invariance_check(RADIAL, parse_curve("t, 2^1100*t + 2^1100*t^2, t", 6, mode), 5)
+    assert not bent.invariant
 
 
 def test_reduced_system_round_trips_through_grammar_text():

@@ -111,6 +111,17 @@ def test_pair_gap_follows_flat_closed_form():
     assert np.all(eps.ys[:, 1] == 0.0)
 
 
+def test_flat_gap_keeps_relative_accuracy_down_to_1e_200():
+    # the closed form 0.1 exp(2 - 1/x) is 1.4e-201 at x = 1/462.2
+    x_end = 1 / 462.2
+    gamma, eps = solve_pair(IVP(EULER, 0.5, x_end, (1.0, 2.0)), (0.1, 0.0))
+    assert eps.ys[-1, 0] < 2e-200
+    for x in (0.1, 0.01, 0.005, x_end):
+        want = 0.1 * math.exp(2 - 1 / x)
+        assert float(eps(x)[0]) == pytest.approx(want, rel=1e-6)
+    assert np.all(eps.ys[:, 1] == 0.0)
+
+
 def test_pair_with_zero_gap_stays_exactly_zero():
     gamma, eps = solve_pair(IVP(EULER, 0.5, 0.1, (1.0, 2.0)), (0.0, 0.0))
     assert np.all(eps.ys == 0.0)
