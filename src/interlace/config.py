@@ -121,7 +121,3 @@ def parse_config_text(text) -> RunConfig:
 def load_config_values(path) -> dict:
     with open(path) as fh:
         return parse_config_values(fh.read())
-
-
-def load_config(path) -> RunConfig:
-    return RunConfig(**load_config_values(path))

@@ -139,12 +139,6 @@ class Trajectory:
     def slice(self, cols, meta=None):
         return Trajectory(self.xs, self.ys[:, cols], self.dys[:, cols], meta or self.meta)
 
-    def restricted(self, x_lo, x_hi):
-        mask = (self.xs >= x_lo) & (self.xs <= x_hi)
-        if mask.sum() < 2:
-            raise DomainError("restriction leaves fewer than two grid points")
-        return Trajectory(self.xs[mask], self.ys[mask], self.dys[mask], self.meta)
-
     def write_csv(self, fh):
         names = ["x", "y1", "y2", "z1", "z2"][: 1 + self.dimension]
         fh.write(",".join(names) + "\n")

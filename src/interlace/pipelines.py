@@ -11,12 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+
 from . import dichotomy as _dichotomy
 from . import report as _report
 from . import sat as _sat
 from . import series as _series
 from .config import RunConfig
-from .curve import iterated_tangents, parse_curve
+from .curve import _split_components, iterated_tangents, parse_curve
 from .expr import compile_expr, parse_expr, to_text, variables_of
 from .field import ReducedSystem, VectorField3, invariance_check
 from .integrate import IVP, solve, solve_pair
@@ -307,7 +309,7 @@ def run_relations(config, entry=None):
         raise ValueError("relations needs --curve")
     if config.mode != "exact":
         raise ValueError("relation search runs in exact mode only")
-    n_components = len(_components_of_curve_text(config.curve)) if config.curve else 3
+    n_components = len(_split_components(config.curve)) if config.curve else 3
     monomials = _sat.monomial_exponents(n_components, config.degree)
     jet = config.jet if config.jet is not None else 2 * len(monomials)
     order = config.order if config.order is not None else jet
@@ -321,12 +323,6 @@ def run_relations(config, entry=None):
         **basis.to_json_dict(names),
     }
     return payload, (0 if basis.is_trivial else 1)
-
-
-def _components_of_curve_text(text):
-    from .curve import _split_components
-
-    return _split_components(text)
 
 
 # -- registry suite --------------------------------------------------------------
@@ -484,14 +480,8 @@ def _multiplier_matches(fact, payload):
                 return False
         else:
             tol = fact.rel_tol if fact.rel_tol is not None else 1e-25
-            if abs(float(mpf_from_str(text)) - float(want)) > tol * max(
+            if abs(float(mpmath.mpf(text)) - float(want)) > tol * max(
                 1.0, abs(float(want))
             ):
                 return False
     return True
-
-
-def mpf_from_str(text):
-    import mpmath
-
-    return mpmath.mpf(text)

@@ -42,11 +42,6 @@ class RegistryEntry:
     expected: tuple = ()
     curve_builder: object = None  # optional callable(order) -> FormalCurve
 
-    def build_curve(self, order):
-        if self.curve_builder is None:
-            raise ValueError(f"entry {self.name!r} has no programmatic curve")
-        return self.curve_builder(order)
-
 
 def _flat_tower_curve(order, precision=128):
     """(t, E(t), t*exp(E(t)/t)) in big-float mode.

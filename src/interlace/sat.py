@@ -10,17 +10,34 @@ for polynomial relations among the components by exact linear algebra on the
 N-jet: a trivial kernel with enough slack (jet length at least twice the
 monomial count) is reported as transcendence evidence at that degree - it is
 evidence only, since the search is degree-bounded and the jet is finite.
+
+Before any exact elimination the search tries a one-sided certificate: it
+reduces the component coefficients mod the prime p = 2^61 - 1, rebuilds the
+monomial jets over F_p and asks whether they are linearly independent there.
+Reduction mod p is a ring homomorphism on the rationals whose denominators are
+prime to p, so the F_p jets are the images of the exact jets.  Clearing each
+jet's denominator (a unit mod p) gives integer vectors, and integer vectors
+independent mod p are independent over Q: a minor that is nonzero mod p is a
+nonzero integer.  Rank m mod p therefore proves the kernel trivial, with no
+big-integer arithmetic.  The converse fails - a relation may exist, the jet
+may be too short, or p may divide every maximal minor by chance - so every
+other case, a denominator divisible by p included, runs the exact Fraction
+elimination, and the relations it returns are re-verified exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as _series
 from .errors import ExactnessRequiredError, OrderExceededError
 from .series import Poly, TruncatedSeries
+
+# The prime of the rank certificate: residues and their products stay small ints.
+_P = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -176,13 +193,17 @@ def relation_search(curve, max_degree, jet_order) -> RelationBasis:
             "kernel may contain truncation artifacts"
         )
 
-    # columns: jets of the monomials along the curve, built incrementally
+    # columns: jets of the monomials along the curve, built incrementally;
+    # the exact ones only when the rank mod p leaves a relation possible
+    comps = [s.truncated(jet_order) for s in comps]
     memo = {(0,) * n_vars: TruncatedSeries.constant(1, jet_order, curve.mode)}
-    columns = []
-    for exps in exps_list:
-        columns.append(_monomial_series(exps, comps, memo, jet_order).coeffs)
-
-    kernel = _exact_kernel(columns, jet_order + 1)
+    if _independent_mod_p(comps, exps_list):
+        kernel = []
+    else:
+        columns = [
+            _monomial_jet(exps, comps, memo, operator.mul).coeffs for exps in exps_list
+        ]
+        kernel = _exact_kernel(columns, jet_order + 1)
     basis = []
     for vec in kernel:
         terms = tuple(
@@ -208,18 +229,63 @@ def relation_search(curve, max_degree, jet_order) -> RelationBasis:
     )
 
 
-def _monomial_series(exps, comps, memo, order):
+def _monomial_jet(exps, comps, memo, mul):
+    """Jet of prod comps[i]^exps[i], one ``mul`` from a memoised smaller monomial.
+
+    ``memo`` maps exponent tuples to jets and is seeded with the empty monomial.
+    """
     if exps in memo:
         return memo[exps]
-    for i in range(len(exps) - 1, -1, -1):
-        if exps[i] > 0:
-            prev = list(exps)
-            prev[i] -= 1
-            base = _monomial_series(tuple(prev), comps, memo, order)
-            result = base * comps[i].truncated(order)
-            memo[exps] = result
-            return result
-    raise AssertionError("unreachable: the empty monomial is seeded")
+    i = max(k for k, e in enumerate(exps) if e)
+    prev = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+    memo[exps] = mul(_monomial_jet(prev, comps, memo, mul), comps[i])
+    return memo[exps]
+
+
+def _independent_mod_p(comps, exps_list):
+    """True when the monomial jets are linearly independent mod _P.
+
+    False when they are not, or when _P divides a coefficient denominator (the
+    reduction is then undefined); see the module docstring for why True proves
+    a trivial kernel over Q.
+    """
+    residues = []
+    for s in comps:
+        if any(c.denominator % _P == 0 for c in s.coeffs):
+            return False
+        residues.append(
+            [c.numerator * pow(c.denominator, -1, _P) % _P for c in s.coeffs]
+        )
+    n = len(residues[0])
+    memo = {(0,) * len(comps): [1] + [0] * (n - 1)}
+    echelon = {}  # pivot -> reduced jet: zero before the pivot, one at it
+    for exps in exps_list:
+        col = list(_monomial_jet(exps, residues, memo, _mul_mod_p))  # memo stays intact
+        for piv in sorted(echelon):
+            f = col[piv]
+            if f:
+                row = echelon[piv]
+                col[piv:] = [(a - f * b) % _P for a, b in zip(col[piv:], row[piv:])]
+        piv = next((i for i, v in enumerate(col) if v), None)
+        if piv is None:
+            return False
+        inv = pow(col[piv], -1, _P)
+        echelon[piv] = [v * inv % _P for v in col]
+    return True
+
+
+def _mul_mod_p(a, b):
+    """Product of two residue jets of the same length, truncated to it."""
+    n = len(a)
+    nonzero = [(j, v) for j, v in enumerate(b) if v]
+    out = [0] * n
+    for i, u in enumerate(a):
+        if u:
+            for j, v in nonzero:
+                if i + j >= n:
+                    break
+                out[i + j] += u * v
+    return [c % _P for c in out]
 
 
 def _exact_kernel(columns, n_rows):

@@ -175,15 +175,6 @@ class TruncatedSeries:
                 f"mixed coefficient modes: {self.mode} vs {other.mode}"
             )
 
-    def to_mode(self, mode):
-        if mode == self.mode:
-            return self
-        if not mode.exact:
-            return TruncatedSeries(
-                tuple(mode.coerce(c) for c in self.coeffs), mode, self.var
-            )
-        raise ModeMismatchError("cannot convert big-float coefficients to rationals")
-
     # -- ring operations (result order = min of operand orders) ----------
 
     def __add__(self, other):
@@ -213,13 +204,16 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         with self.mode.context():
             out = [self.mode.zero()] * (n + 1)
+            nonzero = [
+                (j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not _is_zero(b)
+            ]
             for i, a in enumerate(self.coeffs[: n + 1]):
                 if _is_zero(a):
                     continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not _is_zero(b):
-                        out[i + j] += a * b
+                for j, b in nonzero:
+                    if i + j > n:
+                        break
+                    out[i + j] += a * b
         return TruncatedSeries(tuple(out), self.mode, self.var)
 
     __rmul__ = __mul__

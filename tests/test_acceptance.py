@@ -287,6 +287,16 @@ def test_criterion_08b_returned_relations_reverify():
             assert acc.is_zero()
 
 
+def test_criterion_08c_degree_six_relation_search():
+    with criterion(8, "relation search: degree-6 transcendence evidence"):
+        t0 = time.monotonic()
+        basis = relation_search(parse_curve("x, E(x), E(2*x)", 168), 6, 168)
+        assert basis.is_trivial
+        assert basis.transcendence_evidence
+        assert basis.monomial_count == 84
+        assert time.monotonic() - t0 < 60
+
+
 # -- 9: iterated tangents ------------------------------------------------------------------------
 
 

@@ -1,14 +1,18 @@
 """Tail test curves and the exact relation search."""
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interlace.curve import parse_curve
+from interlace import sat
+from interlace.curve import FormalCurve, parse_curve
 from interlace.errors import ExactnessRequiredError, OrderExceededError
+from interlace.registry import ENTRIES
 from interlace.sat import (
+    Relation,
     SatCurveSpec,
     build_sat_curve,
     monomial_exponents,
@@ -27,6 +31,9 @@ from interlace.series import (
 
 def P(*coeffs):
     return Poly.from_coeffs(coeffs)
+
+
+small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
 
 def test_identity_polynomial_with_zero_tail_reproduces_the_series():
@@ -150,6 +157,116 @@ def test_monomial_enumeration_graded_and_complete():
     assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
+# -- rank certificate mod p against the exact path ---------------------------------
+
+
+def exact_relations(curve, degree, jet):
+    """The relation basis from Fraction elimination on the exact columns."""
+    comps = [c.truncated(jet) for c in curve.components]
+    exps_list = monomial_exponents(len(comps), degree)
+    memo = {(0,) * len(comps): TruncatedSeries.constant(1, jet)}
+    columns = [sat._monomial_jet(e, comps, memo, operator.mul).coeffs for e in exps_list]
+    return tuple(
+        Relation(tuple((exps_list[i], v) for i, v in enumerate(vec) if v != 0))
+        for vec in sat._exact_kernel(columns, jet + 1)
+    )
+
+
+def spy_exact_kernel(monkeypatch):
+    calls, original = [], sat._exact_kernel
+
+    def spy(columns, n_rows):
+        calls.append(n_rows)
+        return original(columns, n_rows)
+
+    monkeypatch.setattr(sat, "_exact_kernel", spy)
+    return calls
+
+
+RELATION_CASES = [
+    pytest.param(e.config.curve, e.config.degree, e.config.jet, e.config.order, id=name)
+    for name, e in sorted(ENTRIES.items())
+    if e.kind == "relations"
+] + [
+    pytest.param("x, E(x), E(2*x)", d, 2 * m, 2 * m, id=f"e_doubled_deg{d}")
+    for d, m in ((d, len(monomial_exponents(3, d))) for d in range(1, 6))
+]
+
+
+@pytest.mark.parametrize("text, degree, jet, order", RELATION_CASES)
+def test_search_equals_exact_elimination(text, degree, jet, order):
+    curve = parse_curve(text, order)
+    assert relation_search(curve, degree, jet).basis == exact_relations(curve, degree, jet)
+
+
+def test_degree_five_certificate_needs_no_exact_elimination(monkeypatch):
+    def refuse(columns, n_rows):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(sat, "_exact_kernel", refuse)
+    basis = relation_search(parse_curve("x, E(x), E(2*x)", 112), 5, 112)
+    assert basis.is_trivial and basis.transcendence_evidence
+    assert basis.monomial_count == 56
+
+
+def test_rank_drop_only_mod_p_falls_back_to_the_exact_trivial_kernel(monkeypatch):
+    calls = spy_exact_kernel(monkeypatch)
+    curve = parse_curve("x, 2305843009213693951*x^2", 6)  # the second jet is 0 mod p
+    basis = relation_search(curve, 1, 6)
+    assert calls == [7]
+    assert basis.is_trivial and basis.transcendence_evidence
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    calls = spy_exact_kernel(monkeypatch)
+    p = 2**61 - 1
+    curve = FormalCurve(
+        (TruncatedSeries.identity(6), TruncatedSeries.from_coeffs([0, 0, F(1, p), 1], 6))
+    )
+    basis = relation_search(curve, 1, 6)
+    assert calls == [7]
+    assert basis.is_trivial
+
+
+def coefficients_in_span(target, basis):
+    """True when ``target`` (exponents -> coeff) is a combination of the basis.
+
+    The kernel comes in reduced normal form: each relation's last term is its
+    free monomial, with coefficient one and absent from every other relation.
+    """
+    rest = dict(target)
+    for rel in basis:
+        free, one = rel.terms[-1]
+        assert one == 1
+        f = rest.get(free, 0)
+        for exps, coeff in rel.terms:
+            rest[exps] = rest.get(exps, 0) - f * coeff
+    return all(v == 0 for v in rest.values())
+
+
+@given(
+    st.lists(small_fraction, min_size=1, max_size=8),
+    small_fraction,
+)
+@settings(max_examples=40, deadline=None)
+def test_planted_relation_is_found_and_reverified(s_coeffs, c):
+    s = TruncatedSeries.from_coeffs([0] + s_coeffs, 12)
+    x = TruncatedSeries.identity(12)
+    curve = FormalCurve((x, s, s * s + x.scale(c)))
+    basis = relation_search(curve, 2, 12)
+    planted = {(0, 0, 1): F(1), (0, 2, 0): F(-1), (1, 0, 0): -c}
+    assert not basis.is_trivial
+    assert coefficients_in_span(planted, basis.basis)
+    for rel in basis.basis:
+        acc = TruncatedSeries.zero(12)
+        for exps, coeff in rel.terms:
+            term = TruncatedSeries.constant(coeff, 12)
+            for comp, e in zip(curve.components, exps):
+                term = term * comp**e
+            acc = acc + term
+        assert acc.is_zero()
+
+
 # -- tail identities --------------------------------------------------------------
 
 
@@ -184,9 +301,6 @@ def test_exchange_identity_bare_form_under_order_two_hypothesis():
 def test_tail_identity_requires_vanishing_polynomial():
     with pytest.raises(ValueError):
         verify_tail_identities(euler_series(12), P(1, 1), k=1, order=12)
-
-
-small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
 
 
 @given(

@@ -91,6 +91,23 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+sparse_coeffs = st.lists(st.one_of(st.just(F(0)), small_fraction), min_size=1, max_size=9)
+
+
+@given(sparse_coeffs, sparse_coeffs, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_product_equals_dense_convolution_in_both_modes(a_coeffs, b_coeffs, exact):
+    mode = EXACT if exact else float_mode(96)
+    a, b = S(a_coeffs, 8, mode), S(b_coeffs, 6, mode)
+    with mode.context():
+        want = [mode.zero()] * 7
+        for i in range(7):
+            for j in range(7 - i):
+                if a.coeffs[i] != 0 and b.coeffs[j] != 0:
+                    want[i + j] += a.coeffs[i] * b.coeffs[j]
+    assert (a * b).coeffs == tuple(want)
+
+
 # -- derivative -------------------------------------------------------------
 
 
