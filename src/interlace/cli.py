@@ -13,19 +13,23 @@ Subcommands::
 
 Exit codes: 0 success / property confirmed, 1 negative finding (not
 invariant, relations found, not q-short positive), 2 usage or input error,
-3 numerical failure.  ``--config FILE`` reads ``key = value`` lines (same
-keys as the long flags); explicit flags win over the file.
+3 numerical failure.  ``--config FILE`` reads ``key = value`` lines (the
+``RunConfig`` keys, see ``interlace.config``); explicit flags win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import pipelines, registry, report
-from .config import RunConfig, load_config_values
+from .config import KEYS, RunConfig, load_config_values
 from .errors import InterlaceError, SolverError
+from .series import terms_text
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -33,212 +37,169 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--example", help="registry entry name")
-    p.add_argument("--outdir", help="directory for report.json and artifacts")
+def _label(config):
+    return config.example or "inline"
+
+
+def _print_invariance(config, payload):
+    verdict = "invariant" if payload["invariant"] else "NOT invariant"
+    mult = payload["multiplier"]
+    h = "h undefined" if mult is None else "h = " + _series_text(mult)
+    print(f"invariance[{_label(config)}]: {verdict} "
+          f"through t^{payload['checked_order']}; {h}")
+
+
+def _print_pair(config, payload):
+    rep = payload["report"]
+    turns = None if rep["winding"] is None else rep["winding"]["total_turns"]
+    print(f"classify-pair[{_label(config)}]: "
+          f"verdict={rep['verdict']} total_turns={turns}")
+
+
+def _print_integrate(config, payload):
+    print(f"integrate[{_label(config)}]: "
+          f"reached x={payload['final']['x']:g}, y={payload['final']['y']}")
+
+
+def _print_tangents(config, payload):
+    print("tangents:", " -> ".join(
+        "(" + ", ".join(d) + ")" for d in payload["directions"]
+    ))
+
+
+def _print_qshort(config, payload):
+    for r in payload["results"]:
+        print(f"qshort[{r['poly']}]: q={r['q']} short={r['is_short']} "
+              f"positive={r['is_positive']} val={r['val']} deg={r['deg']}")
+
+
+def _print_relations(config, payload):
+    if payload["kernel_dimension"] == 0:
+        tag = ("transcendence evidence at degree "
+               f"{payload['max_degree']}"
+               if payload["transcendence_evidence"]
+               else "trivial kernel (jet too short for evidence)")
+        print(f"relations: {tag}; margin={payload['evidence_margin']}")
+    else:
+        print(f"relations: kernel dimension {payload['kernel_dimension']}:")
+        for r in payload["relations"]:
+            print("   ", r, "= 0")
+
+
+@dataclass(frozen=True)
+class Command:
+    kind: str  # key of pipelines.RUNNERS
+    help: str
+    keys: tuple  # RunConfig keys offered as flags besides --example and --outdir
+    summary: Callable  # (config, payload): prints the result
+    # classify-pair and integrate list their files under "artifacts" instead
+    prints_report_path: bool = True
+
+
+COMMANDS = {
+    "invariance": Command(
+        "invariance", "series multiplier test for a field/curve pair",
+        ("field_components", "curve", "order", "mode", "precision"), _print_invariance,
+    ),
+    "classify-pair": Command(
+        "pair", "flat contact / winding / census verdict",
+        ("f1", "f2", "x_start", "x_end", "y0", "eps0", "probes", "census",
+         "rtol", "atol", "turn_threshold", "log_substitution"),
+        _print_pair, prints_report_path=False,
+    ),
+    "integrate": Command(
+        "integrate", "integrate a reduced system toward x -> 0+",
+        ("f1", "f2", "x_start", "x_end", "y0", "rtol", "atol", "log_substitution"),
+        _print_integrate, prints_report_path=False,
+    ),
+    "tangents": Command(
+        "tangents", "oriented iterated tangents of a curve",
+        ("curve", "steps", "order", "branch"), _print_tangents,
+    ),
+    "qshort": Command(
+        "qshort", "q-short / positivity test for polynomials", ("poly", "q"), _print_qshort,
+    ),
+    "relations": Command(
+        "relations", "exact polynomial-relation search on a curve jet",
+        ("curve", "degree", "jet", "order"), _print_relations,
+    ),
+}
+
+
+def _add_flag(parser, key):
+    meta = KEYS[key].metadata
+    kind = meta["kind"]
+    typed = {"choices": kind.choices} if kind.choices else {"type": kind.parse}
+    parser.add_argument(
+        meta["flag"] or "--" + key.replace("_", "-"),
+        dest=key,
+        **{"help": kind.help, **typed, **meta["options"]},
+    )
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="interlace", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("invariance", help="series multiplier test for a field/curve pair")
-    _add_common(p)
-    p.add_argument("--field", nargs=3, metavar=("FX", "FY", "FZ"))
-    p.add_argument("--curve", help="comma-separated component expressions")
-    p.add_argument("--order", type=int)
-    p.add_argument("--mode", choices=["exact", "float"])
-    p.add_argument("--precision", type=int)
-
-    p = sub.add_parser("classify-pair", help="flat contact / winding / census verdict")
-    _add_common(p)
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--x-start", type=float, dest="x_start")
-    p.add_argument("--x-end", type=float, dest="x_end")
-    p.add_argument("--y0", help="comma-separated floats")
-    p.add_argument("--eps0", help="comma-separated floats")
-    p.add_argument("--probes", help="comma-separated x values")
-    p.add_argument("--census", help="semicolon-separated expressions")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--turn-threshold", type=float, dest="turn_threshold")
-    p.add_argument("--log-substitution", choices=["auto", "on", "off"],
-                   dest="log_substitution")
-
-    p = sub.add_parser("integrate", help="integrate a reduced system toward x -> 0+")
-    _add_common(p)
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--x-start", type=float, dest="x_start")
-    p.add_argument("--x-end", type=float, dest="x_end")
-    p.add_argument("--y0")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--log-substitution", choices=["auto", "on", "off"],
-                   dest="log_substitution")
-
-    p = sub.add_parser("tangents", help="oriented iterated tangents of a curve")
-    _add_common(p)
-    p.add_argument("--curve")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--order", type=int)
-    p.add_argument("--branch", choices=["+", "-"])
-
-    p = sub.add_parser("qshort", help="q-short / positivity test for polynomials")
-    _add_common(p)
-    p.add_argument("--poly", help="semicolon-separated polynomials")
-    p.add_argument("--q", type=int)
-
-    p = sub.add_parser("relations", help="exact polynomial-relation search on a curve jet")
-    _add_common(p)
-    p.add_argument("--curve")
-    p.add_argument("--deg", type=int, dest="degree")
-    p.add_argument("--jet", type=int)
-    p.add_argument("--order", type=int)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="key = value config file")
+        for key in ("example", "outdir", *command.keys):
+            _add_flag(p, key)
+        p.set_defaults(run=_run_command)
 
     p = sub.add_parser("suite", help="run every registry entry and verify its facts")
     p.add_argument("--outdir", default="out/suite")
+    p.set_defaults(run=_run_suite)
 
-    sub.add_parser("list-examples", help="list registry entries")
+    p = sub.add_parser("list-examples", help="list registry entries")
+    p.set_defaults(run=_list_examples)
     return ap
-
-
-def _floats(text):
-    if text is None:
-        return None
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _exprs(text):
-    if text is None:
-        return None
-    return tuple(p.strip() for p in text.split(";") if p.strip())
 
 
 def config_from_args(args):
     """RunConfig plus the key/value pairs the user actually supplied."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = load_config_values(args.config)
-    overrides = dict(
-        command=args.cmd,
-        example=getattr(args, "example", None),
-        field_components=tuple(args.field) if getattr(args, "field", None) else None,
-        curve=getattr(args, "curve", None),
-        f1=getattr(args, "f1", None),
-        f2=getattr(args, "f2", None),
-        order=getattr(args, "order", None),
-        mode=getattr(args, "mode", None),
-        precision=getattr(args, "precision", None),
-        steps=getattr(args, "steps", None),
-        branch=getattr(args, "branch", None),
-        degree=getattr(args, "degree", None),
-        jet=getattr(args, "jet", None),
-        q=getattr(args, "q", None),
-        poly=getattr(args, "poly", None),
-        x_start=getattr(args, "x_start", None),
-        x_end=getattr(args, "x_end", None),
-        y0=_floats(getattr(args, "y0", None)),
-        eps0=_floats(getattr(args, "eps0", None)),
-        probes=_floats(getattr(args, "probes", None)),
-        census=_exprs(getattr(args, "census", None)),
-        rtol=getattr(args, "rtol", None),
-        atol=getattr(args, "atol", None),
-        turn_threshold=getattr(args, "turn_threshold", None),
-        log_substitution=getattr(args, "log_substitution", None),
-        outdir=getattr(args, "outdir", None),
-    )
-    explicit = dict(file_values)
-    explicit.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig().merged(**explicit), explicit
+    explicit = load_config_values(args.config) if args.config else {}
+    explicit["command"] = args.cmd
+    for key, value in vars(args).items():
+        if key in KEYS and value is not None:
+            explicit[key] = tuple(value) if isinstance(value, list) else value
+    return RunConfig(**explicit), explicit
 
 
-def _emit(payload, outdir, label):
-    if outdir:
+def _run_command(args):
+    config, explicit = config_from_args(args)
+    config, entry = pipelines.resolve(config, explicit)
+    command = COMMANDS[args.cmd]
+    outdir = config.outdir if "outdir" in explicit else None
+    payload, code = pipelines.RUNNERS[command.kind](config, entry, outdir)
+    if outdir is not None:
         path = report.write_json(Path(outdir) / "report.json", payload)
-        print(f"{label}: wrote {path}")
-    return payload
+        if command.prints_report_path:
+            print(f"{args.cmd}: wrote {path}")
+    command.summary(config, payload)
+    return code
+
+
+def _run_suite(args):
+    summary = pipelines.run_suite(args.outdir)
+    for row in summary["entries"]:
+        state = "ok" if row["facts_ok"] else "FAIL"
+        print(f"{row['name']:22s} [{row['kind']}] facts: {state}")
+    print(f"suite: {'all facts verified' if summary['all_ok'] else 'FAILURES'}")
+    return EXIT_OK if summary["all_ok"] else EXIT_NEGATIVE
+
+
+def _list_examples(args):
+    for name in registry.names():
+        entry = registry.get(name)
+        print(f"{name:22s} [{entry.kind}] {entry.description}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "list-examples":
-            for name in registry.names():
-                entry = registry.get(name)
-                print(f"{name:22s} [{entry.kind}] {entry.description}")
-            return EXIT_OK
-        if args.cmd == "suite":
-            summary = pipelines.run_suite(args.outdir)
-            for row in summary["entries"]:
-                state = "ok" if row["facts_ok"] else "FAIL"
-                print(f"{row['name']:22s} [{row['kind']}] facts: {state}")
-            print(f"suite: {'all facts verified' if summary['all_ok'] else 'FAILURES'}")
-            return EXIT_OK if summary["all_ok"] else EXIT_NEGATIVE
-
-        config, explicit = config_from_args(args)
-        config, entry = pipelines.resolve(config, explicit)
-
-        if args.cmd == "invariance":
-            payload, code = pipelines.run_invariance(config, entry)
-            _emit(payload, config.outdir if args.outdir else None, "invariance")
-            verdict = "invariant" if payload["invariant"] else "NOT invariant"
-            mult = payload["multiplier"]
-            h = "h undefined" if mult is None else "h = " + _series_text(mult)
-            print(f"invariance[{config.example or 'inline'}]: {verdict} "
-                  f"through t^{payload['checked_order']}; {h}")
-            return code
-        if args.cmd == "classify-pair":
-            payload, code = pipelines.run_pair(
-                config, entry, outdir=config.outdir if args.outdir else None
-            )
-            if args.outdir:
-                report.write_json(Path(config.outdir) / "report.json", payload)
-            rep = payload["report"]
-            turns = None if rep["winding"] is None else rep["winding"]["total_turns"]
-            print(f"classify-pair[{config.example or 'inline'}]: "
-                  f"verdict={rep['verdict']} total_turns={turns}")
-            return code
-        if args.cmd == "integrate":
-            payload, code = pipelines.run_integrate(
-                config, entry, outdir=config.outdir if args.outdir else None
-            )
-            if args.outdir:
-                report.write_json(Path(config.outdir) / "report.json", payload)
-            print(f"integrate[{config.example or 'inline'}]: "
-                  f"reached x={payload['final']['x']:g}, y={payload['final']['y']}")
-            return code
-        if args.cmd == "tangents":
-            payload, code = pipelines.run_tangents(config, entry)
-            _emit(payload, config.outdir if args.outdir else None, "tangents")
-            print("tangents:", " -> ".join(
-                "(" + ", ".join(d) + ")" for d in payload["directions"]
-            ))
-            return code
-        if args.cmd == "qshort":
-            payload, code = pipelines.run_qshort(config, entry)
-            _emit(payload, config.outdir if args.outdir else None, "qshort")
-            for r in payload["results"]:
-                print(f"qshort[{r['poly']}]: q={r['q']} short={r['is_short']} "
-                      f"positive={r['is_positive']} val={r['val']} deg={r['deg']}")
-            return code
-        if args.cmd == "relations":
-            payload, code = pipelines.run_relations(config, entry)
-            _emit(payload, config.outdir if args.outdir else None, "relations")
-            if payload["kernel_dimension"] == 0:
-                tag = ("transcendence evidence at degree "
-                       f"{payload['max_degree']}"
-                       if payload["transcendence_evidence"]
-                       else "trivial kernel (jet too short for evidence)")
-                print(f"relations: {tag}; margin={payload['evidence_margin']}")
-            else:
-                print(f"relations: kernel dimension {payload['kernel_dimension']}:")
-                for r in payload["relations"]:
-                    print("   ", r, "= 0")
-            return code
-        raise AssertionError(f"unhandled command {args.cmd}")
+        return args.run(args)
     except SolverError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -248,25 +209,13 @@ def main(argv=None) -> int:
 
 
 def _series_text(mult_json):
-    terms = []
-    for i, c in enumerate(mult_json["coeffs"]):
-        frac = c.split("/")
-        if mult_json["mode"] == "rational":
-            if frac[0] == "0":
-                continue
-            coeff = c if frac[1] != "1" else frac[0]
-        else:
-            if float(c) == 0:
-                continue
-            coeff = c
-        var = mult_json.get("var", "t")
-        if i == 0:
-            terms.append(coeff)
-        elif i == 1:
-            terms.append(f"{coeff}*{var}")
-        else:
-            terms.append(f"{coeff}*{var}^{i}")
-    return " + ".join(terms) if terms else "0"
+    exact = mult_json["mode"] == "rational"
+    terms = [
+        (i, c.removesuffix("/1") if exact else c)
+        for i, c in enumerate(mult_json["coeffs"])
+        if (Fraction(c) if exact else float(c)) != 0
+    ]
+    return terms_text(terms, mult_json.get("var", "t"))
 
 
 if __name__ == "__main__":

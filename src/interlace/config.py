@@ -2,20 +2,37 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Values keep their natural textual form (expressions stay expressions); lists
-use commas for numbers and semicolons for expressions.  Every field mirrors
-a long CLI flag, and ``to_text``/``parse_config_text`` round-trip exactly.
+use commas for numbers and semicolons for expressions.  Each field of
+``RunConfig`` states its kind once; the kind parses and prints the value for
+config text and for the CLI flag, and ``to_text``/``parse_config_text``
+round-trip exactly.  Most keys are also long CLI flags (``--x-start`` for
+``x_start``, ``--deg`` for ``degree``, ``--field FX FY FZ`` for
+``field_components``); ``command``, ``max_steps``, ``hardy_turn_bound``,
+``flat_bound`` and ``final_decade`` have no flag and are set only in a
+config file or a registry entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 
-def _parse_floats(text):
+@dataclass(frozen=True)
+class Kind:
+    """How a key's value is read from text and written back."""
+
+    parse: Callable
+    fmt: Callable = str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+def _floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _parse_exprs(text):
+def _exprs(text):
     return tuple(p.strip() for p in text.split(";") if p.strip())
 
 
@@ -23,75 +40,80 @@ def _fmt_floats(values):
     return ",".join(repr(float(v)) for v in values)
 
 
-def _fmt_exprs(values):
-    return "; ".join(values)
+def _choice(*values):
+    def parse(text):
+        if text not in values:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(values)})")
+        return text
+
+    return Kind(parse, choices=values)
+
+
+STR = Kind(str)
+INT = Kind(int)
+FLOAT = Kind(float)
+FLOATS = Kind(_floats, _fmt_floats, help="comma-separated floats")
+EXPRS = Kind(_exprs, "; ".join, help="semicolon-separated expressions")
+
+
+def _key(kind, default=None, flag=None, **flag_options):
+    """A RunConfig field; ``flag`` replaces the ``--dashed-name`` spelling."""
+    metadata = {"kind": kind, "flag": flag, "options": flag_options}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str | None = None
-    example: str | None = None
-    field_components: tuple | None = None  # 3 expression strings
-    f1: str | None = None
-    f2: str | None = None
-    curve: str | None = None
-    poly: str | None = None  # semicolon-separated polynomials
-    mode: str = "exact"  # exact | float
-    precision: int = 128
-    order: int | None = None
-    steps: int | None = None
-    branch: str = "+"
-    degree: int | None = None
-    jet: int | None = None
-    q: int = 1
-    x_start: float | None = None
-    x_end: float | None = None
-    y0: tuple | None = None
-    eps0: tuple | None = None
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_steps: int = 10**6
-    log_substitution: str = "auto"  # auto | on | off
-    probes: tuple | None = None
-    census: tuple | None = None
-    turn_threshold: float = 3.0
-    hardy_turn_bound: float = 0.5
-    flat_bound: float = 10.0
-    final_decade: float = 10.0
-    outdir: str = "out"
-
-    def merged(self, **overrides):
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **clean)
+    command: str | None = _key(STR)
+    example: str | None = _key(STR, help="registry entry name")
+    # the flag takes three words, a config file takes "fx; fy; fz"
+    field_components: tuple | None = _key(
+        EXPRS, flag="--field", type=str, nargs=3, metavar=("FX", "FY", "FZ"),
+        help="the three field components",
+    )
+    f1: str | None = _key(STR)
+    f2: str | None = _key(STR)
+    curve: str | None = _key(STR, help="comma-separated component expressions")
+    poly: str | None = _key(STR, help="semicolon-separated polynomials")
+    mode: str = _key(_choice("exact", "float"), "exact")
+    precision: int = _key(INT, 128)
+    order: int | None = _key(INT)
+    steps: int | None = _key(INT)
+    branch: str = _key(_choice("+", "-"), "+")
+    degree: int | None = _key(INT, flag="--deg")
+    jet: int | None = _key(INT)
+    q: int = _key(INT, 1)
+    x_start: float | None = _key(FLOAT)
+    x_end: float | None = _key(FLOAT)
+    y0: tuple | None = _key(FLOATS)
+    eps0: tuple | None = _key(FLOATS)
+    rtol: float = _key(FLOAT, 1e-10)
+    atol: float = _key(FLOAT, 1e-12)
+    max_steps: int = _key(INT, 10**6)
+    log_substitution: str = _key(_choice("auto", "on", "off"), "auto")
+    probes: tuple | None = _key(FLOATS, help="comma-separated x values")
+    census: tuple | None = _key(EXPRS)
+    turn_threshold: float = _key(FLOAT, 3.0)
+    hardy_turn_bound: float = _key(FLOAT, 0.5)
+    flat_bound: float = _key(FLOAT, 10.0)
+    final_decade: float = _key(FLOAT, 10.0)
+    outdir: str = _key(STR, "out", help="directory for report.json and artifacts")
 
     def to_text(self):
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None or v == f.default:
-                continue
-            if f.name in ("y0", "eps0", "probes"):
-                lines.append(f"{f.name} = {_fmt_floats(v)}")
-            elif f.name in ("census", "field_components"):
-                lines.append(f"{f.name} = {_fmt_exprs(v)}")
-            else:
-                lines.append(f"{f.name} = {v}")
+        lines = [
+            f"{f.name} = {f.metadata['kind'].fmt(v)}"
+            for f in fields(self)
+            if (v := getattr(self, f.name)) is not None and v != f.default
+        ]
         return "\n".join(lines) + "\n"
 
 
-_FLOAT_TUPLES = ("y0", "eps0", "probes")
-_EXPR_TUPLES = ("census", "field_components")
-_INTS = ("precision", "order", "steps", "degree", "jet", "q", "max_steps")
-_FLOATS = (
-    "x_start", "x_end", "rtol", "atol",
-    "turn_threshold", "hardy_turn_bound", "flat_bound", "final_decade",
-)
+KEYS = {f.name: f for f in fields(RunConfig)}
 
 
 def parse_config_values(text) -> dict:
     """Typed key/value pairs from config text; only keys that appear."""
     values = {}
-    known = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,18 +121,12 @@ def parse_config_values(text) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _FLOAT_TUPLES:
-            values[key] = _parse_floats(val)
-        elif key in _EXPR_TUPLES:
-            values[key] = _parse_exprs(val)
-        elif key in _INTS:
-            values[key] = int(val)
-        elif key in _FLOATS:
-            values[key] = float(val)
-        else:
-            values[key] = val
+        try:
+            values[key] = KEYS[key].metadata["kind"].parse(val)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {key}: {err}") from None
     return values
 
 

@@ -16,7 +16,7 @@ used and the raw quantities it saw.  Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -252,13 +252,13 @@ class Thresholds:
     flat_bound: float = 10.0
     final_decade: float = 10.0  # window [x_end, final_decade * x_end]
 
+    def __post_init__(self):
+        for name, value in self.to_json_dict().items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
     def to_json_dict(self):
-        return {
-            "turn_threshold": self.turn_threshold,
-            "hardy_turn_bound": self.hardy_turn_bound,
-            "flat_bound": self.flat_bound,
-            "final_decade": self.final_decade,
-        }
+        return asdict(self)
 
 
 VERDICT_INTERLACED = "Interlaced"

@@ -68,6 +68,8 @@ class IVP:
             raise ValueError("need x_start > x_end > 0")
         if self.rtol <= 0 or self.atol < 0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.rtol) and math.isfinite(self.atol)):
+            raise ValueError(f"tolerances must be finite: rtol={self.rtol}, atol={self.atol}")
         if len(self.y0) != self.system.dimension:
             raise ValueError(
                 f"initial value has {len(self.y0)} components, "
@@ -213,6 +215,10 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
     """
     if not isinstance(ivp.system, ReducedSystem):
         raise TypeError("solve_pair expects a planar ReducedSystem")
+    if len(eps0) != ivp.system.dimension:
+        raise ValueError(
+            f"initial gap eps0 has {len(eps0)} components, system has {ivp.system.dimension}"
+        )
     diff = difference_system(ivp.system)
     y0 = tuple(ivp.y0) + tuple(eps0)
     pair_ivp = replace(

@@ -8,10 +8,12 @@ field depends on wall-clock or environment; the only per-run value is the
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 
 from . import dichotomy as _dichotomy
 from . import report as _report
@@ -21,32 +23,23 @@ from .config import RunConfig
 from .curve import _split_components, iterated_tangents, parse_curve
 from .expr import compile_expr, parse_expr, to_text, variables_of
 from .field import ReducedSystem, VectorField3, invariance_check
-from .integrate import IVP, solve, solve_pair
+from .integrate import IVP, Trajectory, solve, solve_pair
 from .polynomial import RationalFunction
 from .registry import ENTRIES, RegistryEntry, get as get_entry
 from .series import EXACT, Poly, float_mode, q_short_check
 
 
-def resolve(config: RunConfig, explicit=None) -> tuple[RunConfig, RegistryEntry | None]:
+def resolve(config: RunConfig, explicit) -> tuple[RunConfig, RegistryEntry | None]:
     """Overlay user settings on the referenced example, if any.
 
     ``explicit`` is the set of key/value pairs the user actually supplied
-    (flags plus config file); when omitted, any value differing from the
-    dataclass default is treated as explicit.
+    (flags plus config file).
     """
     if config.example is None:
         return config, None
     entry = get_entry(config.example)
-    if explicit is None:
-        explicit = {
-            k: v
-            for k, v in vars(config).items()
-            if v is not None and v != getattr(RunConfig(), k)
-        }
-    merged = entry.config.merged(
-        **{k: v for k, v in explicit.items() if k not in ("example", "command")}
-    )
-    return merged, entry
+    overlay = {k: v for k, v in explicit.items() if k not in ("example", "command")}
+    return replace(entry.config, **overlay), entry
 
 
 def _coefficient_mode(config):
@@ -75,7 +68,7 @@ def _log_flag(config):
 # -- invariance ----------------------------------------------------------
 
 
-def run_invariance(config, entry=None):
+def run_invariance(config, entry=None, outdir=None):
     if config.field_components is None:
         raise ValueError("no field given: pass --field fx fy fz or --example")
     v = VectorField3.from_text(
@@ -106,22 +99,18 @@ def run_invariance(config, entry=None):
     return payload, (0 if rep.invariant else 1)
 
 
-# -- pair classification ---------------------------------------------------
+# -- pair classification and plain integration -----------------------------
 
 
-def _pair_system(config):
+def _ivp(config, runs):
+    """The planar initial value problem of a pair or integrate run."""
     if config.f1 is None or config.f2 is None:
         raise ValueError("pair runs need f1 and f2 (inline or from an example)")
-    return ReducedSystem.from_text(config.f1, config.f2,
-                                   provenance=config.example or "direct")
-
-
-def run_pair(config, entry=None, outdir=None):
-    system = _pair_system(config)
+    system = ReducedSystem.from_text(config.f1, config.f2,
+                                     provenance=config.example or "direct")
     if config.x_start is None or config.x_end is None or config.y0 is None:
-        raise ValueError("pair runs need x_start, x_end and y0")
-    eps0 = config.eps0 if config.eps0 is not None else (0.0, 0.0)
-    ivp = IVP(
+        raise ValueError(f"{runs} runs need x_start, x_end and y0")
+    return IVP(
         system,
         config.x_start,
         config.x_end,
@@ -131,107 +120,76 @@ def run_pair(config, entry=None, outdir=None):
         max_steps=config.max_steps,
         log_substitution=_log_flag(config),
     )
-    gamma, eps = solve_pair(ivp, tuple(eps0))
-    probes = config.probes or (config.x_start / 2, config.x_end * 2, config.x_end)
-    census_exprs = config.census or ("z1", "z2")
-    thresholds = _dichotomy.Thresholds(
-        turn_threshold=config.turn_threshold,
-        hardy_turn_bound=config.hardy_turn_bound,
-        flat_bound=config.flat_bound,
-        final_decade=config.final_decade,
-    )
-    pair_report = _dichotomy.build_pair_report(
-        gamma, eps, probes, census_exprs, thresholds
-    )
+
+
+def _ivp_payload(command, config, ivp, traj, outdir):
+    """Payload fields, and trajectory.csv, shared by pair and integrate runs."""
     payload = {
-        "command": "classify-pair",
+        "command": command,
         "example": config.example,
-        "system": {"f1": to_text(system.f1), "f2": to_text(system.f2)},
+        "system": {"f1": to_text(ivp.system.f1), "f2": to_text(ivp.system.f2)},
         "x_start": config.x_start,
         "x_end": config.x_end,
         "y0": list(config.y0),
-        "eps0": list(eps0),
-        "integrator": {
-            "rtol": config.rtol,
-            "atol": config.atol,
-            "n_steps": gamma.meta.get("n_steps"),
-            "n_rejected": gamma.meta.get("n_rejected"),
-            "max_error_ratio": gamma.meta.get("max_error_ratio"),
-            "log_substitution": gamma.meta.get("log_substitution"),
-        },
-        "report": pair_report.to_json_dict(),
-    }
-    artifacts = {}
-    if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "trajectory.csv", "w") as fh:
-            _write_pair_csv(fh, gamma, eps)
-        artifacts["trajectory_csv"] = "trajectory.csv"
-        if pair_report.winding is not None:
-            _report.theta_plot(pair_report.winding, outdir / "theta.svg")
-            artifacts["theta_svg"] = "theta.svg"
-        _report.contact_plot(eps, pair_report.contact, outdir / "contact.svg")
-        artifacts["contact_svg"] = "contact.svg"
-    payload["artifacts"] = artifacts
-    return payload, 0
-
-
-def _write_pair_csv(fh, gamma, eps):
-    fh.write("x,y1,y2,z1,z2\n")
-    for i in range(len(gamma.xs)):
-        row = [gamma.xs[i], *gamma.ys[i], *eps.ys[i]]
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-# -- plain integration ------------------------------------------------------
-
-
-def run_integrate(config, entry=None, outdir=None):
-    system = _pair_system(config)
-    if config.x_start is None or config.x_end is None or config.y0 is None:
-        raise ValueError("integrate runs need x_start, x_end and y0")
-    ivp = IVP(
-        system,
-        config.x_start,
-        config.x_end,
-        tuple(config.y0),
-        rtol=config.rtol,
-        atol=config.atol,
-        max_steps=config.max_steps,
-        log_substitution=_log_flag(config),
-    )
-    traj = solve(ivp)
-    payload = {
-        "command": "integrate",
-        "example": config.example,
-        "system": {"f1": to_text(system.f1), "f2": to_text(system.f2)},
-        "x_start": config.x_start,
-        "x_end": config.x_end,
-        "y0": list(config.y0),
-        "final": {"x": float(traj.xs[-1]), "y": [float(v) for v in traj.ys[-1]]},
         "integrator": {
             "rtol": config.rtol,
             "atol": config.atol,
             "n_steps": traj.meta.get("n_steps"),
             "log_substitution": traj.meta.get("log_substitution"),
         },
+        "artifacts": {},
     }
-    artifacts = {}
     if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "trajectory.csv", "w") as fh:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        with open(Path(outdir) / "trajectory.csv", "w") as fh:
             traj.write_csv(fh)
-        artifacts["trajectory_csv"] = "trajectory.csv"
-    payload["artifacts"] = artifacts
+        payload["artifacts"]["trajectory_csv"] = "trajectory.csv"
+    return payload
+
+
+def run_pair(config, entry=None, outdir=None):
+    ivp = _ivp(config, "pair")
+    eps0 = config.eps0 if config.eps0 is not None else (0.0, 0.0)
+    thresholds = _dichotomy.Thresholds(
+        turn_threshold=config.turn_threshold,
+        hardy_turn_bound=config.hardy_turn_bound,
+        flat_bound=config.flat_bound,
+        final_decade=config.final_decade,
+    )
+    gamma, eps = solve_pair(ivp, tuple(eps0))
+    probes = config.probes or (config.x_start / 2, config.x_end * 2, config.x_end)
+    census_exprs = config.census or ("z1", "z2")
+    pair_report = _dichotomy.build_pair_report(
+        gamma, eps, probes, census_exprs, thresholds
+    )
+    joint = Trajectory(gamma.xs, np.hstack([gamma.ys, eps.ys]),
+                       np.hstack([gamma.dys, eps.dys]), gamma.meta)
+    payload = _ivp_payload("classify-pair", config, ivp, joint, outdir)
+    payload["eps0"] = list(eps0)
+    payload["integrator"]["n_rejected"] = gamma.meta.get("n_rejected")
+    payload["integrator"]["max_error_ratio"] = gamma.meta.get("max_error_ratio")
+    payload["report"] = pair_report.to_json_dict()
+    if outdir is not None:
+        if pair_report.winding is not None:
+            _report.theta_plot(pair_report.winding, Path(outdir) / "theta.svg")
+            payload["artifacts"]["theta_svg"] = "theta.svg"
+        _report.contact_plot(eps, pair_report.contact, Path(outdir) / "contact.svg")
+        payload["artifacts"]["contact_svg"] = "contact.svg"
+    return payload, 0
+
+
+def run_integrate(config, entry=None, outdir=None):
+    ivp = _ivp(config, "integrate")
+    traj = solve(ivp)
+    payload = _ivp_payload("integrate", config, ivp, traj, outdir)
+    payload["final"] = {"x": float(traj.xs[-1]), "y": [float(v) for v in traj.ys[-1]]}
     return payload, 0
 
 
 # -- tangents ----------------------------------------------------------------
 
 
-def run_tangents(config, entry=None):
+def run_tangents(config, entry=None, outdir=None):
     steps = config.steps if config.steps is not None else 3
     order = config.order if config.order is not None else steps + 2
     curve = _build_curve(config, entry, order)
@@ -276,7 +234,7 @@ def expr_to_poly(text, var=None) -> Poly:
     )
 
 
-def run_qshort(config, entry=None):
+def run_qshort(config, entry=None, outdir=None):
     if not config.poly:
         raise ValueError("qshort needs --poly")
     results = []
@@ -284,16 +242,7 @@ def run_qshort(config, entry=None):
     for text in (p.strip() for p in config.poly.split(";") if p.strip()):
         p = expr_to_poly(text)
         rep = q_short_check(p, config.q)
-        results.append(
-            {
-                "poly": text,
-                "q": rep.q,
-                "is_short": rep.is_short,
-                "is_positive": rep.is_positive,
-                "val": rep.val,
-                "deg": rep.deg,
-            }
-        )
+        results.append({"poly": text, **asdict(rep)})
         all_good = all_good and rep.is_short and rep.is_positive
     payload = {"command": "qshort", "example": config.example, "results": results}
     return payload, (0 if all_good else 1)
@@ -302,7 +251,7 @@ def run_qshort(config, entry=None):
 # -- relation search -----------------------------------------------------------
 
 
-def run_relations(config, entry=None):
+def run_relations(config, entry=None, outdir=None):
     if config.degree is None:
         raise ValueError("relations needs --deg")
     if config.curve is None and (entry is None or entry.curve_builder is None):
@@ -328,25 +277,21 @@ def run_relations(config, entry=None):
 # -- registry suite --------------------------------------------------------------
 
 
+# entry kind -> runner; every runner takes (config, entry, outdir=None)
+RUNNERS = {
+    "invariance": run_invariance,
+    "pair": run_pair,
+    "integrate": run_integrate,
+    "tangents": run_tangents,
+    "qshort": run_qshort,
+    "relations": run_relations,
+}
+
+
 def run_entry(entry: RegistryEntry, outdir=None):
     """Run one registry entry and verify its expected facts."""
-    config = entry.config
     entry_dir = None if outdir is None else Path(outdir) / entry.name
-    if entry.kind == "invariance":
-        payload, _ = run_invariance(config, entry)
-    elif entry.kind == "pair":
-        payload, _ = run_pair(config, entry, outdir=entry_dir)
-    elif entry.kind == "integrate":
-        payload, _ = run_integrate(config, entry, outdir=entry_dir)
-    elif entry.kind == "qshort":
-        payload, _ = run_qshort(config, entry)
-    elif entry.kind == "relations":
-        payload, _ = run_relations(config, entry)
-    elif entry.kind == "tangents":
-        payload, _ = run_tangents(config, entry)
-    else:
-        raise ValueError(f"unknown entry kind {entry.kind!r}")
-
+    payload, _ = RUNNERS[entry.kind](entry.config, entry, entry_dir)
     checks = [_check_fact(entry, fact, payload) for fact in entry.expected]
     payload["description"] = entry.description
     payload["facts"] = checks
@@ -388,10 +333,9 @@ def _close(actual, expected, rel_tol):
 
 
 def _check_fact(entry, fact, payload):
-    actual = _extract_fact(entry, fact, payload)
+    actual = FACTS[entry.kind](fact.key, payload)
     if isinstance(fact.value, dict) and fact.key == "multiplier":
         ok = _multiplier_matches(fact, payload)
-        actual = payload.get("multiplier")
     elif isinstance(fact.value, float):
         ok = actual is not None and _close(float(actual), fact.value, fact.rel_tol)
     else:
@@ -405,53 +349,61 @@ def _check_fact(entry, fact, payload):
     }
 
 
-def _extract_fact(entry, fact, payload):
-    key = fact.key
-    if entry.kind == "invariance":
-        if key == "invariant":
-            return payload["invariant"]
-        if key == "multiplier":
-            return payload.get("multiplier")
-    if entry.kind == "pair":
-        rep = payload["report"]
-        if key == "verdict":
-            return rep["verdict"]
-        if key in ("total_angle", "total_turns"):
-            w = rep.get("winding")
-            return None if w is None else w[key]
-        if key.startswith("eps_norm@") or key.startswith("k_hat@"):
-            want_x = float(key.split("@", 1)[1])
-            for probe in rep["contact"]["probes"]:
-                if abs(probe["x"] - want_x) <= 1e-12:
-                    return probe["norm"] if key.startswith("eps_norm") else probe["k_hat"]
-            return None
-        if key.endswith("_sign_changes"):
-            expr_name = key[: -len("_sign_changes")]
-            for c in rep["census"]:
-                if c["expr"] == expr_name:
-                    return c["sign_changes"]
-            return None
-    if entry.kind == "integrate":
-        if key == "y1_end":
-            return payload["final"]["y"][0]
-        if key == "y2_end":
-            return payload["final"]["y"][1]
-    if entry.kind == "qshort":
-        for r in payload["results"]:
-            if r["poly"].replace(" ", "") == key.replace(" ", ""):
-                return {"is_short": r["is_short"], "is_positive": r["is_positive"]}
+def _pair_fact(key, payload):
+    rep = payload["report"]
+    if key == "verdict":
+        return rep["verdict"]
+    if key in ("total_angle", "total_turns"):
+        w = rep.get("winding")
+        return None if w is None else w[key]
+    if key.startswith(("eps_norm@", "k_hat@")):
+        name, at = key.split("@", 1)
+        for probe in rep["contact"]["probes"]:
+            if abs(probe["x"] - float(at)) <= 1e-12:
+                return probe["norm" if name == "eps_norm" else "k_hat"]
         return None
-    if entry.kind == "relations":
-        if key == "contains_second_component_minus_square":
-            return _has_parabola_relation(payload)
-        return payload.get(key)
-    if entry.kind == "tangents":
-        if key == "directions":
-            return [
-                [_fraction_from_str(a) for a in d] for d in payload["directions"]
-            ]
-        return payload.get(key)
+    if key.endswith("_sign_changes"):
+        expr_name = key[: -len("_sign_changes")]
+        for c in rep["census"]:
+            if c["expr"] == expr_name:
+                return c["sign_changes"]
+        return None
     return payload.get(key)
+
+
+def _integrate_fact(key, payload):
+    ends = {"y1_end": 0, "y2_end": 1}
+    return payload["final"]["y"][ends[key]] if key in ends else payload.get(key)
+
+
+def _qshort_fact(key, payload):
+    for r in payload["results"]:
+        if r["poly"].replace(" ", "") == key.replace(" ", ""):
+            return {"is_short": r["is_short"], "is_positive": r["is_positive"]}
+    return None
+
+
+def _relations_fact(key, payload):
+    if key == "contains_second_component_minus_square":
+        return _has_parabola_relation(payload)
+    return payload.get(key)
+
+
+def _tangents_fact(key, payload):
+    if key == "directions":
+        return [[_fraction_from_str(a) for a in d] for d in payload["directions"]]
+    return payload.get(key)
+
+
+# entry kind -> (fact key, payload) -> the payload's value for that fact
+FACTS = {
+    "invariance": lambda key, payload: payload.get(key),
+    "pair": _pair_fact,
+    "integrate": _integrate_fact,
+    "tangents": _tangents_fact,
+    "qshort": _qshort_fact,
+    "relations": _relations_fact,
+}
 
 
 def _fraction_from_str(text):

@@ -99,6 +99,12 @@ def float_mode(precision: int = 128) -> CoefficientMode:
     return CoefficientMode("float", precision)
 
 
+def terms_text(terms, var):
+    """``a + b*x + c*x^2`` from (exponent, coefficient text) pairs; "0" when empty."""
+    parts = [c if i == 0 else f"{c}*{var}" if i == 1 else f"{c}*{var}^{i}" for i, c in terms]
+    return " + ".join(parts) if parts else "0"
+
+
 def _is_zero(c):
     return c == 0
 
@@ -269,18 +275,8 @@ class TruncatedSeries:
         return TruncatedSeries.from_coeffs(cs, d["order"], mode, d.get("var", "x"))
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*{self.var}")
-            else:
-                terms.append(f"{c}*{self.var}^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O({self.var}^{self.order + 1})"
+        terms = [(i, str(c)) for i, c in enumerate(self.coeffs) if not _is_zero(c)]
+        return f"{terms_text(terms, self.var)} + O({self.var}^{self.order + 1})"
 
 
 @dataclass(frozen=True)
@@ -334,19 +330,7 @@ class Poly:
         return Poly(self.coeffs[k:], self.var)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*{self.var}")
-            else:
-                terms.append(f"{c}*{self.var}^{i}")
-        return " + ".join(terms)
+        return terms_text([(i, str(c)) for i, c in enumerate(self.coeffs) if c != 0], self.var)
 
 
 # -- spec operations ----------------------------------------------------

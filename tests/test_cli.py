@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, artifacts, config round-trips."""
 
+import argparse
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from interlace.cli import main
+from interlace.cli import build_parser, config_from_args, main
 from interlace.config import RunConfig, parse_config_text
 from interlace.registry import ENTRIES
 from interlace.report import load_json, strip_timestamps
@@ -185,6 +187,102 @@ def test_registry_configs_round_trip():
     for entry in ENTRIES.values():
         cfg = entry.config
         assert parse_config_text(cfg.to_text()) == cfg
+
+
+def test_every_config_key_round_trips():
+    values = dict(
+        command="relations", example="xi1", field_components=("x", "y^2", "z/x"),
+        f1="y1/x", f2="y2", curve="t,E(t),t^2", poly="x; x+x^2", mode="float",
+        precision=96, order=12, steps=4, branch="-", degree=3, jet=40, q=2,
+        x_start=0.9, x_end=0.02, y0=(1.0, -0.5), eps0=(1e-3, 0.0), rtol=1e-9,
+        atol=1e-13, max_steps=5000, log_substitution="off", probes=(0.5, 0.05),
+        census=("z1", "y1 - x"), turn_threshold=2.5, hardy_turn_bound=0.25,
+        flat_bound=8.0, final_decade=5.0, outdir="elsewhere",
+    )
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**values)
+    text = cfg.to_text()
+    assert len(text.splitlines()) == len(values)  # no value is the default
+    assert parse_config_text(text) == cfg
+
+
+FLAGS = {
+    "invariance": ["--field", "--curve", "--order", "--mode", "--precision"],
+    "classify-pair": [
+        "--f1", "--f2", "--x-start", "--x-end", "--y0", "--eps0", "--probes",
+        "--census", "--rtol", "--atol", "--turn-threshold", "--log-substitution",
+    ],
+    "integrate": [
+        "--f1", "--f2", "--x-start", "--x-end", "--y0", "--rtol", "--atol",
+        "--log-substitution",
+    ],
+    "tangents": ["--curve", "--steps", "--order", "--branch"],
+    "qshort": ["--poly", "--q"],
+    "relations": ["--curve", "--deg", "--jet", "--order"],
+}
+
+
+@pytest.mark.parametrize("name", [*FLAGS, "suite", "list-examples"])
+def test_subcommand_flags_are_unchanged(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [*FLAGS, "suite", "list-examples"]
+    expected = {"suite": ["--outdir"], "list-examples": []}.get(name)
+    if expected is None:
+        expected = ["--config", "--example", "--outdir", *FLAGS[name]]
+    flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
+    assert flags - {"-h", "--help"} == set(expected)
+
+
+def test_irregular_flags_map_to_their_keys():
+    args = build_parser().parse_args(["relations", "--deg", "3"])
+    assert config_from_args(args)[0].degree == 3
+    args = build_parser().parse_args(["invariance", "--field", "x", "y^2", "z"])
+    assert config_from_args(args)[0].field_components == ("x", "y^2", "z")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("invariance", "mode"), ("integrate", "log_substitution"), ("tangents", "branch")],
+)
+def test_choice_keys_reject_unknown_values_from_file_and_flag(command, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = banana\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    assert f"{key}: invalid choice 'banana'" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "banana"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice: 'banana'" in capsys.readouterr().err
+
+
+def test_config_file_outdir_writes_the_report(tmp_path, capsys):
+    out = tmp_path / "from_file"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"poly = 2*x\noutdir = {out}\n")
+    assert run(["qshort", "--config", str(cfg)]) == 0
+    assert load_json(out / "report.json")["results"][0]["is_positive"] is True
+    assert "qshort: wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrate", "--atol", "inf"], "tolerances must be finite"),
+        (["integrate", "--rtol", "nan"], "tolerances must be finite"),
+        (["classify-pair", "--rtol", "inf"], "tolerances must be finite"),
+        (["classify-pair", "--turn-threshold", "nan"], "turn_threshold must be finite"),
+        (["classify-pair", "--turn-threshold", "inf"], "turn_threshold must be finite"),
+        (["classify-pair", "--eps0", "1"], "initial gap eps0 has 1 components, system has 2"),
+    ],
+)
+def test_non_finite_or_misshapen_numeric_inputs_are_usage_errors(argv, message, capsys):
+    example = "log_demo" if argv[0] == "integrate" else "rotating"
+    assert run([*argv, "--example", example]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_config_file_feeds_the_cli(tmp_path, capsys):
