@@ -6,6 +6,11 @@ stored derivatives.  When the run spans more than two decades the right-hand
 side is integrated in s = log x by default (steps then measure the approach
 rate to 0), a heuristic exposed as a flag.
 
+The step loop runs on plain Python floats, since the state has only 2 or 4
+components; numpy builds the trajectory arrays at the end.  Its order of
+floating-point operations is fixed so that results equal the numpy loop it
+replaced (kept as a reference in the tests) bit for bit.
+
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
 accuracy is set by the tolerance (the gap components get a zero absolute
@@ -75,6 +80,7 @@ class IVP:
                 f"initial value has {len(self.y0)} components, "
                 f"system has {self.system.dimension}"
             )
+        _check_finite("initial value y0", self.y0)
 
     def use_log_substitution(self):
         if self.log_substitution is not None:
@@ -161,12 +167,11 @@ def _rhs_callable(system):
 def solve(ivp: IVP) -> Trajectory:
     """Integrate from x_start down to x_end with local error <= tolerance."""
     rhs = _rhs_callable(ivp.system)
-    dim = ivp.system.dimension
-    atol = np.full(dim, ivp.atol)
+    atol = [float(ivp.atol)] * ivp.system.dimension
     if ivp.atol_overrides is not None:
         for k, v in enumerate(ivp.atol_overrides):
             if v is not None:
-                atol[k] = v
+                atol[k] = float(v)
 
     logsub = ivp.use_log_substitution()
 
@@ -179,15 +184,15 @@ def solve(ivp: IVP) -> Trajectory:
             raise AdaptedChartError(str(err), last_x=x) from err
         except (OverflowError, FloatingPointError) as err:
             raise BlowUpError(str(err), last_x=x) from err
-        out = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(out)):
+        out = list(map(float, vals))
+        if not all(map(math.isfinite, out)):
             raise BlowUpError("non-finite right-hand side", last_x=x)
-        return out * x if logsub else out
+        return [v * x for v in out] if logsub else out
 
     t0 = math.log(ivp.x_start) if logsub else ivp.x_start
     t1 = math.log(ivp.x_end) if logsub else ivp.x_end
 
-    ts, us, dus, stats = _dopri5(f, t0, t1, np.asarray(ivp.y0, dtype=float),
+    ts, us, dus, stats = _dopri5(f, t0, t1, [float(v) for v in ivp.y0],
                                  ivp.rtol, atol, ivp.max_steps, logsub)
 
     xs = np.exp(ts) if logsub else ts
@@ -219,6 +224,7 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
         raise ValueError(
             f"initial gap eps0 has {len(eps0)} components, system has {ivp.system.dimension}"
         )
+    _check_finite("initial gap eps0", eps0)
     diff = difference_system(ivp.system)
     y0 = tuple(ivp.y0) + tuple(eps0)
     pair_ivp = replace(
@@ -234,17 +240,29 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
 
 
 def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
+    # The state is a list of Python floats: with 2 or 4 components numpy's
+    # per-call overhead outweighs the arithmetic.  Every sum adds in a fixed
+    # order, so results equal the numpy loop it replaced bit for bit: a stage
+    # sum is 0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum,
+    # and the error mean adds left to right, as np.mean does below 8 terms
+    # (the systems here have 2 or 4).
+    c2, c3, c4, c5 = _C[1:5]
+    (a21,), (a31, a32), (a41, a42, a43) = _A[1:4]
+    (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[4:6]
+    b1, _, b3, b4, b5, b6, _ = _B5
+    e1, _, e3, e4, e5, e6, e7 = _B4
+    dim = len(y0)
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     t = t0
-    y = y0.copy()
+    y = y0
     k1 = f(t, y)
-    h = sign * min(span / 100.0, _initial_step(t0, y, k1, rtol, atol, logsub))
+    h = sign * min(span / 100.0, _initial_step(t0, np.array(y), np.array(k1),
+                                               rtol, np.array(atol), logsub))
 
-    ts, ys, dys = [t], [y.copy()], [k1.copy()]
+    ts, ys, dys = [t], [y], [k1]
     n_steps = n_rejected = 0
     max_err = 0.0
-    ks = [None] * 7
 
     while sign * (t1 - t) > 0:
         used = n_steps + n_rejected
@@ -266,25 +284,45 @@ def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
                     last_x=x_here,
                 )
 
-        ks[0] = k1
-        for i in range(1, 7):
-            yi = y + h * sum(a * ks[j] for j, a in enumerate(_A[i]))
-            ks[i] = f(t + _C[i] * h, yi)
-        y5 = y + h * sum(b * ks[j] for j, b in enumerate(_B5) if b)
-        y4 = y + h * sum(b * ks[j] for j, b in enumerate(_B4) if b)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        diff = np.abs(y5 - y4)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(scale > 0, diff / scale, np.where(diff > 0, np.inf, 0.0))
-        err = float(np.sqrt(np.mean(np.square(np.minimum(ratios, 1e300)))))
+        k2 = f(t + c2 * h, [u + h * (0.0 + a21 * p1) for u, p1 in zip(y, k1)])
+        k3 = f(t + c3 * h, [u + h * (0.0 + a31 * p1 + a32 * p2)
+                            for u, p1, p2 in zip(y, k1, k2)])
+        k4 = f(t + c4 * h, [u + h * (0.0 + a41 * p1 + a42 * p2 + a43 * p3)
+                            for u, p1, p2, p3 in zip(y, k1, k2, k3)])
+        k5 = f(t + c5 * h, [u + h * (0.0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                            for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + h, [u + h * (0.0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+                       for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+        y5 = [u + h * (0.0 + b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+              for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+        # the last stage row is _B5; its 0*k2 term (k2 is finite) adds +-0 to
+        # a sum that is never -0, so the stage point is y5 itself, bit for bit
+        k7 = f(t + h, y5)
+        y4 = [u + h * (0.0 + e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+              for u, p1, p3, p4, p5, p6, p7 in zip(y, k1, k3, k4, k5, k6, k7)]
+        square_sum = 0.0
+        for u, v5, v4, tol in zip(y, y5, y4, atol):
+            # y is finite (IVP checks y0; an accepted y5 is finite), so a NaN
+            # in y5 carries into the scale as it does through np.maximum
+            au, a5 = abs(u), abs(v5)
+            scale = tol + rtol * (au if au >= a5 else a5)
+            diff = abs(v5 - v4)
+            if scale > 0:
+                ratio = diff / scale
+            else:
+                ratio = math.inf if diff > 0 else 0.0
+            if ratio > 1e300:  # NaN passes through, as with np.minimum
+                ratio = 1e300
+            square_sum += ratio * ratio
+        err = math.sqrt(square_sum / dim)
 
         if err <= 1.0:
             t = t + h
             y = y5
-            k1 = ks[6]  # FSAL
+            k1 = k7  # FSAL
             ts.append(t)
-            ys.append(y.copy())
-            dys.append(k1.copy())
+            ys.append(y)
+            dys.append(k1)
             n_steps += 1
             max_err = max(max_err, err)
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -295,6 +333,12 @@ def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
 
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
     return np.array(ts), np.array(ys), np.array(dys), stats
+
+
+def _check_finite(name, values):
+    for k, v in enumerate(values, start=1):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} component {k} is not finite: {v}")
 
 
 def _to_x(t, logsub):

@@ -71,6 +71,10 @@ def _log_flag(config):
 def run_invariance(config, entry=None, outdir=None):
     if config.field_components is None:
         raise ValueError("no field given: pass --field fx fy fz or --example")
+    if len(config.field_components) != 3:
+        raise ValueError(
+            f"field needs three components fx, fy, fz; got {len(config.field_components)}"
+        )
     v = VectorField3.from_text(
         config.example or "inline", *config.field_components
     )
@@ -191,6 +195,8 @@ def run_integrate(config, entry=None, outdir=None):
 
 def run_tangents(config, entry=None, outdir=None):
     steps = config.steps if config.steps is not None else 3
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     order = config.order if config.order is not None else steps + 2
     curve = _build_curve(config, entry, order)
     trail = iterated_tangents(curve, steps)

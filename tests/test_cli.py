@@ -275,6 +275,9 @@ def test_config_file_outdir_writes_the_report(tmp_path, capsys):
         (["classify-pair", "--turn-threshold", "nan"], "turn_threshold must be finite"),
         (["classify-pair", "--turn-threshold", "inf"], "turn_threshold must be finite"),
         (["classify-pair", "--eps0", "1"], "initial gap eps0 has 1 components, system has 2"),
+        (["classify-pair", "--y0", "nan,0"], "initial value y0 component 1 is not finite: nan"),
+        (["classify-pair", "--eps0", "inf,0"], "initial gap eps0 component 1 is not finite: inf"),
+        (["integrate", "--y0", "1e400,1"], "initial value y0 component 1 is not finite: inf"),
     ],
 )
 def test_non_finite_or_misshapen_numeric_inputs_are_usage_errors(argv, message, capsys):
@@ -283,6 +286,22 @@ def test_non_finite_or_misshapen_numeric_inputs_are_usage_errors(argv, message, 
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_field_without_three_components_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field_components = x; y\ncurve = t,t,t\n")
+    assert run(["invariance", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "field needs three components fx, fy, fz; got 2" in err
+    assert "Traceback" not in err
+
+
+def test_negative_tangent_steps_are_a_usage_error(capsys):
+    assert run(["tangents", "--curve", "t,t^2", "--steps", "-1"]) == 2
+    assert "steps must be non-negative, got -1" in capsys.readouterr().err
+    assert run(["tangents", "--curve", "t,t^2", "--steps", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "tangents:"
 
 
 def test_config_file_feeds_the_cli(tmp_path, capsys):

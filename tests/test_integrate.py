@@ -2,19 +2,23 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from interlace import integrate
 from interlace.errors import (
     AdaptedChartError,
     BlowUpError,
     DomainError,
+    EvaluationSingularityError,
     MaxStepsError,
     StiffnessError,
 )
-from interlace.field import ReducedSystem
+from interlace.field import ReducedSystem, difference_system
 from interlace.integrate import IVP, solve, solve_pair
+from interlace.registry import ENTRIES
 from interlace.series import euler_series
 
 
@@ -214,3 +218,174 @@ def test_ivp_validation():
         IVP(EULER, 0.5, 0.1, (1.0,))  # dimension mismatch
     with pytest.raises(ValueError):
         IVP(EULER, 0.5, 0.1, (1.0, 2.0), rtol=0.0)
+
+
+# -- the scalar step loop against the numpy loop it replaced -----------------
+#
+# _reference_solve and _reference_dopri5 are the numpy implementation of
+# ``solve``'s right-hand-side wrapper and step loop, unchanged apart from
+# names and comments.  The scalar loop must reproduce them bit for bit.
+
+
+def _reference_solve(ivp):
+    rhs = integrate._rhs_callable(ivp.system)
+    dim = ivp.system.dimension
+    atol = np.full(dim, ivp.atol)
+    if ivp.atol_overrides is not None:
+        for k, v in enumerate(ivp.atol_overrides):
+            if v is not None:
+                atol[k] = v
+
+    logsub = ivp.use_log_substitution()
+
+    def f(t, u):
+        x = math.exp(t) if logsub else t
+        try:
+            vals = rhs(x, u)
+        except EvaluationSingularityError as err:
+            raise AdaptedChartError(str(err), last_x=x) from err
+        except (OverflowError, FloatingPointError) as err:
+            raise BlowUpError(str(err), last_x=x) from err
+        out = np.asarray(vals, dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise BlowUpError("non-finite right-hand side", last_x=x)
+        return out * x if logsub else out
+
+    t0 = math.log(ivp.x_start) if logsub else ivp.x_start
+    t1 = math.log(ivp.x_end) if logsub else ivp.x_end
+
+    ts, us, dus, stats = _reference_dopri5(f, t0, t1, np.asarray(ivp.y0, dtype=float),
+                                           ivp.rtol, atol, ivp.max_steps, logsub)
+
+    xs = np.exp(ts) if logsub else ts
+    xs[0], xs[-1] = ivp.x_start, ivp.x_end
+    dys = dus / xs[:, None] if logsub else dus
+    meta = {
+        "rtol": ivp.rtol,
+        "atol": float(np.min(atol)),
+        "n_steps": stats["n_steps"],
+        "n_rejected": stats["n_rejected"],
+        "max_error_ratio": stats["max_err"],
+        "log_substitution": logsub,
+    }
+    return integrate.Trajectory(xs, us, dys, meta)
+
+
+def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
+    _A, _B4, _B5, _C = integrate._A, integrate._B4, integrate._B5, integrate._C
+    _to_x = integrate._to_x
+    sign = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+    t = t0
+    y = y0.copy()
+    k1 = f(t, y)
+    h = sign * min(span / 100.0, integrate._initial_step(t0, y, k1, rtol, atol, logsub))
+
+    ts, ys, dys = [t], [y.copy()], [k1.copy()]
+    n_steps = n_rejected = 0
+    max_err = 0.0
+    ks = [None] * 7
+
+    while sign * (t1 - t) > 0:
+        used = n_steps + n_rejected
+        if used >= max_steps:
+            raise MaxStepsError("step budget exhausted", last_x=_to_x(t, logsub))
+        if abs(h) > abs(t1 - t):
+            h = t1 - t
+        x_here = _to_x(t, logsub)
+        h_floor = integrate.STEP_UNDERFLOW_FACTOR * (abs(x_here) if not logsub else 1.0)
+        if abs(h) < h_floor:
+            raise StiffnessError("step size underflow", last_x=x_here)
+        if used % 64 == 0 and used > 256:
+            if abs(h) * 8 * (max_steps - used) < abs(t1 - t):
+                raise StiffnessError(
+                    "step size collapsed: projected step count exceeds the budget",
+                    last_x=x_here,
+                )
+
+        ks[0] = k1
+        for i in range(1, 7):
+            yi = y + h * sum(a * ks[j] for j, a in enumerate(_A[i]))
+            ks[i] = f(t + _C[i] * h, yi)
+        y5 = y + h * sum(b * ks[j] for j, b in enumerate(_B5) if b)
+        y4 = y + h * sum(b * ks[j] for j, b in enumerate(_B4) if b)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        diff = np.abs(y5 - y4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(scale > 0, diff / scale, np.where(diff > 0, np.inf, 0.0))
+        err = float(np.sqrt(np.mean(np.square(np.minimum(ratios, 1e300)))))
+
+        if err <= 1.0:
+            t = t + h
+            y = y5
+            k1 = ks[6]
+            ts.append(t)
+            ys.append(y.copy())
+            dys.append(k1.copy())
+            n_steps += 1
+            max_err = max(max_err, err)
+            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            n_rejected += 1
+            factor = max(0.1, 0.9 * err ** -0.2)
+        h *= factor
+
+    stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
+    return np.array(ts), np.array(ys), np.array(dys), stats
+
+
+def _assert_same_trajectory(got, want):
+    for name in ("xs", "ys", "dys"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.meta == want.meta
+
+
+def _registry_ivp(name, **overrides):
+    c = ENTRIES[name].config
+    system = ReducedSystem.from_text(c.f1, c.f2)
+    return IVP(system, c.x_start, c.x_end, tuple(c.y0), **overrides)
+
+
+@pytest.mark.parametrize("name", ["euler_pair", "rotating"])
+@pytest.mark.parametrize("eps0", ["registry", (0.3, -0.2)])
+def test_scalar_pair_loop_matches_numpy_reference_bit_for_bit(name, eps0):
+    ivp = _registry_ivp(name, rtol=1e-12, atol=1e-14)
+    if eps0 == "registry":
+        eps0 = tuple(ENTRIES[name].config.eps0)
+    gamma, eps = solve_pair(ivp, eps0)
+    pair_ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + eps0,
+                       atol_overrides=(None, None, 0.0, 0.0))
+    ref = _reference_solve(pair_ivp)
+    _assert_same_trajectory(gamma, ref.slice([0, 1], meta={**ref.meta, "role": "solution"}))
+    _assert_same_trajectory(eps, ref.slice([2, 3], meta={**ref.meta, "role": "gap"}))
+
+
+@pytest.mark.parametrize("log_substitution", [True, False, None])
+def test_scalar_loop_matches_numpy_reference_on_log_demo(log_substitution):
+    ivp = _registry_ivp("log_demo", log_substitution=log_substitution)
+    _assert_same_trajectory(solve(ivp), _reference_solve(ivp))
+
+
+def _failure(run, ivp):
+    with pytest.raises(Exception) as err:
+        run(ivp)
+    return type(err.value), str(err.value), err.value.last_x
+
+
+@pytest.mark.parametrize(
+    "f1, x_start, x_end, y0, kwargs, expected",
+    [
+        ("y1/(x - 3/10)^2", 0.5, 0.2, (1.0, 1.0), {}, StiffnessError),
+        ("y1^2", 1.0, 0.01, (1.0, 1.0), {}, StiffnessError),
+        ("y1/x^3", 1.0, 0.001, (1.0, 1.0), {"max_steps": 20000}, StiffnessError),
+        ("(y1-x)/x^2", 0.5, 0.02, (1.0, 2.0), {"max_steps": 25}, MaxStepsError),
+        ("-y1/x^2", 1.0, 0.001, (1e300, 1.0), {}, BlowUpError),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy reference stages overflow
+def test_scalar_loop_fails_like_numpy_reference(f1, x_start, x_end, y0, kwargs, expected):
+    ivp = IVP(sys2(f1), x_start, x_end, y0, **kwargs)
+    got = _failure(solve, ivp)
+    assert got[0] is expected
+    assert got == _failure(_reference_solve, ivp)
