@@ -281,25 +281,19 @@ def _eval_bigfloat(s: TruncatedSeries, t):
 CURVE_PARAMS = ("t", "x")
 
 
-def parse_curve(text, order, mode=EXACT, half_branch=+1, param=None) -> FormalCurve:
+def parse_curve(text, order, mode=EXACT, half_branch=+1) -> FormalCurve:
     """Parse comma-separated component expressions into a FormalCurve."""
     parts = _split_components(text)
     if len(parts) < 2:
         raise DegenerateCurveError("a curve needs at least two components")
-    if param is None:
-        used = set()
-        for part in parts:
-            tree = _expr.parse_expr(part, CURVE_PARAMS, allow_calls=True)
-            used |= _expr.variables_of(tree)
-        if len(used) > 1:
-            raise ValueError(f"mixed curve parameters {sorted(used)}; use one of t, x")
-        param = used.pop() if used else "t"
+    trees = [_expr.parse_expr(part, CURVE_PARAMS, allow_calls=True) for part in parts]
+    used = set().union(*map(_expr.variables_of, trees))
+    if len(used) > 1:
+        raise ValueError(f"mixed curve parameters {sorted(used)}; use one of t, x")
+    param = used.pop() if used else "t"
     ident = TruncatedSeries.identity(order, mode, param)
-    comps = []
-    for part in parts:
-        tree = _expr.parse_expr(part, (param,), allow_calls=True)
-        comps.append(_expr.substitute_series(tree, {param: ident}))
-    return FormalCurve(tuple(comps), half_branch)
+    comps = tuple(_expr.substitute_series(tree, {param: ident}) for tree in trees)
+    return FormalCurve(comps, half_branch)
 
 
 def _split_components(text):

@@ -13,6 +13,9 @@ DSL; ``E(...)`` and ``exp(...)`` calls are only enabled for curves)::
 Precedence is the standard one: ^  >  unary -  >  * /  >  + -.  A literal
 ``p/q`` between two integer tokens folds to a single rational constant; all
 other structure is kept verbatim so that parse -> print -> parse is stable.
+
+``compile_expr`` is the one evaluator of these trees, over four algebras:
+float, Fraction, ``RationalFunction`` and ``TruncatedSeries``.
 """
 
 from __future__ import annotations
@@ -298,42 +301,6 @@ def fold_constant(node):
 # -- evaluation ----------------------------------------------------------
 
 
-def evaluate(node, env):
-    """Numeric value of the expression at a point (dict var name -> number)."""
-    if isinstance(node, Num):
-        num = node.value
-        return num.numerator / num.denominator
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownIdentifierError(f"no value bound for {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
-    if isinstance(node, BinOp):
-        a = evaluate(node.lhs, env)
-        b = evaluate(node.rhs, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise EvaluationSingularityError(to_text(node), env)
-        return a / b
-    if isinstance(node, Pow):
-        b = evaluate(node.base, env)
-        if node.exponent < 0 and b == 0:
-            raise EvaluationSingularityError(to_text(node), env)
-        return b**node.exponent
-    if isinstance(node, Call):
-        raise UnknownIdentifierError(
-            f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
-        )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def evaluate_mp(node, env, prec=160):
     """Big-float evaluation (mpmath at ``prec`` bits); ``env`` values are taken exactly."""
     import mpmath
@@ -344,18 +311,20 @@ def evaluate_mp(node, env, prec=160):
         return f(tuple(mpmath.mpf(env[n]) for n in names))
 
 
-# -- compilation -----------------------------------------------------------
-
-
-def compile_expr(node, names, const=float):
+def compile_expr(node, names, const=float, calls=None):
     """Nested closures taking a sequence of values, one per entry of ``names``.
 
-    Arithmetic uses the values' own operators (floats, mpf, Fraction or
-    ``polynomial.RationalFunction``); ``const`` maps literals into that
-    algebra.  Float results equal ``evaluate``'s bit for bit.  A zero divisor
-    raises EvaluationSingularityError naming the sub-expression and the point.
+    Arithmetic uses the values' own operators: float, mpf, Fraction,
+    ``polynomial.RationalFunction`` or ``series.TruncatedSeries``.  ``const``
+    maps literals into that algebra; ``calls`` maps ``E``/``exp`` to functions,
+    and without it a call is rejected.  A zero divisor raises
+    EvaluationSingularityError naming the sub-expression and the point; a
+    series divisor without constant term raises NonUnitDenominatorError.
     """
     names = tuple(names)
+
+    def non_unit(den):
+        return NonUnitDenominatorError(f"denominator {to_text(den)!r} has zero constant term")
 
     def build(node):
         if isinstance(node, Num):
@@ -381,7 +350,10 @@ def compile_expr(node, names, const=float):
                 num, den = lhs(a), rhs(a)
                 if den == 0:
                     raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
-                return num / den
+                try:
+                    return num / den
+                except NonUnitDivisorError:
+                    raise non_unit(node.rhs) from None
 
             return divide
         if isinstance(node, Pow):
@@ -393,13 +365,19 @@ def compile_expr(node, names, const=float):
                 b = base(a)
                 if b == 0:
                     raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
-                return b**n
+                try:
+                    return b**n
+                except NonUnitDivisorError:
+                    raise non_unit(node) from None
 
             return reciprocal_power
         if isinstance(node, Call):
-            raise UnknownIdentifierError(
-                f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
-            )
+            if calls is None:
+                raise UnknownIdentifierError(
+                    f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
+                )
+            fn, arg = calls[node.fn], build(node.arg)
+            return lambda a: fn(arg(a))
         raise TypeError(f"not an expression node: {node!r}")
 
     return build(node)
@@ -424,50 +402,11 @@ def substitute_series(node, env):
         if s.mode != mode:
             raise ModeMismatchError("curve components carry mixed coefficient modes")
     order = min(s.order for s in values)
-    env = {k: s.truncated(order) for k, s in env.items()}
-    return _subst(node, env, order, mode, var)
-
-
-def _subst(node, env, order, mode, var):
-    if isinstance(node, Num):
-        return _series.TruncatedSeries.constant(node.value, order, mode, var)
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownIdentifierError(f"no series bound for {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_subst(node.arg, env, order, mode, var)
-    if isinstance(node, BinOp):
-        a = _subst(node.lhs, env, order, mode, var)
-        b = _subst(node.rhs, env, order, mode, var)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        try:
-            return _series.divide(a, b)
-        except NonUnitDivisorError:
-            raise NonUnitDenominatorError(
-                f"denominator {to_text(node.rhs)!r} has zero constant term"
-            ) from None
-    if isinstance(node, Pow):
-        base = _subst(node.base, env, order, mode, var)
-        n = node.exponent
-        if n >= 0:
-            return base**n
-        one = _series.TruncatedSeries.constant(1, order, mode, var)
-        try:
-            return _series.divide(one, base**(-n))
-        except NonUnitDivisorError:
-            raise NonUnitDenominatorError(
-                f"denominator {to_text(node)!r} has zero constant term"
-            ) from None
-    if isinstance(node, Call):
-        arg = _subst(node.arg, env, order, mode, var)
-        if node.fn == "E":
-            return _series.compose(_series.euler_series(order, mode, var), arg)
-        return _series.exp_series(arg)
-    raise TypeError(f"not an expression node: {node!r}")
+    calls = {
+        "E": lambda s: _series.compose(_series.euler_series(order, mode, var), s),
+        "exp": _series.exp_series,
+    }
+    f = compile_expr(
+        node, env, lambda q: _series.TruncatedSeries.constant(q, order, mode, var), calls
+    )
+    return f(tuple(s.truncated(order) for s in values))

@@ -160,6 +160,8 @@ class RelationBasis:
 
 def monomial_exponents(n_vars, max_degree):
     """Exponent tuples with total degree <= max_degree, graded lexicographic."""
+    if max_degree < 1:
+        raise ValueError(f"relation degree must be at least 1, got {max_degree}")
     out = []
     for total in range(max_degree + 1):
         for exps in itertools.product(range(total + 1), repeat=n_vars):

@@ -235,10 +235,15 @@ class TruncatedSeries:
             return other.as_series(self.order, self.mode, self.var)
         return TruncatedSeries.constant(other, self.order, self.mode, self.var)
 
+    def __truediv__(self, other):
+        return divide(self, other)
+
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must be nonnegative integers")
+        if not isinstance(n, int):
+            raise ValueError("series powers must be integers")
         result = TruncatedSeries.constant(1, self.order, self.mode, self.var)
+        if n < 0:
+            return divide(result, self ** -n)  # 1 / self^-n: self must be a unit
         base = self
         while n:
             if n & 1:

@@ -304,6 +304,30 @@ def test_negative_tangent_steps_are_a_usage_error(capsys):
     assert capsys.readouterr().out.strip() == "tangents:"
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_relation_degree_below_one_is_a_usage_error(degree, capsys):
+    assert run(["relations", "--curve", "x,x^2", "--deg", degree]) == 2
+    captured = capsys.readouterr()
+    assert f"relation degree must be at least 1, got {degree}" in captured.err
+    assert "transcendence evidence" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tangents", "--curve", "t,1/t"], "denominator 't' has zero constant term"),
+        (["tangents", "--curve", "t,(t)^-1"], "denominator 't^-1' has zero constant term"),
+        (
+            ["invariance", "--field", "x", "1/y", "z", "--curve", "t,t,t", "--order", "4"],
+            "denominator 'y' has zero constant term",
+        ),
+    ],
+)
+def test_non_unit_denominators_are_usage_errors(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_file_feeds_the_cli(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("example = xi1\norder = 10\n")

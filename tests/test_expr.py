@@ -3,15 +3,18 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from interlace.errors import (
+    CompositionAtUnitError,
     EvaluationSingularityError,
     ExprSyntaxError,
     NonUnitDenominatorError,
+    NonzeroConstantTermError,
     UnknownIdentifierError,
 )
 from interlace.expr import (
+    CALL_NAMES,
     BinOp,
     Call,
     Neg,
@@ -19,7 +22,6 @@ from interlace.expr import (
     Pow,
     Var,
     compile_expr,
-    evaluate,
     evaluate_mp,
     fold_constant,
     parse_expr,
@@ -28,7 +30,9 @@ from interlace.expr import (
     to_text,
     variables_of,
 )
-from interlace.series import EXACT, TruncatedSeries, euler_series
+from interlace.series import EXACT, TruncatedSeries, euler_series, float_mode
+
+from _expr_reference import evaluate, substitute_series as substitute_series_reference
 
 XYZ = ("x", "y", "z")
 
@@ -107,22 +111,25 @@ def test_variable_renaming():
 # -- print/parse stability ---------------------------------------------------
 
 
-def _expr_strategy():
+def _expr_strategy(calls=False, max_leaves=12):
     atoms = st.one_of(
         st.builds(Num, st.builds(F, st.integers(0, 9), st.integers(1, 9))),
         st.sampled_from([Var("x"), Var("y"), Var("z")]),
     )
 
     def extend(children):
-        return st.one_of(
+        nodes = [
             st.builds(Neg, children),
             st.builds(Pow, children, st.integers(-3, 3)),
             st.tuples(st.sampled_from("+-*/"), children, children).map(
                 lambda t: BinOp(t[0], t[1], t[2])
             ),
-        )
+        ]
+        if calls:
+            nodes.append(st.builds(Call, st.sampled_from(CALL_NAMES), children))
+        return st.one_of(*nodes)
 
-    return st.recursive(atoms, extend, max_leaves=12)
+    return st.recursive(atoms, extend, max_leaves=max_leaves)
 
 
 @given(_expr_strategy())
@@ -225,3 +232,43 @@ def test_substitution_agrees_with_pointwise_evaluation():
         direct = evaluate(tree, {"x": tv, "y": float(e_full.eval(F(tv))), "z": tv})
         via_series = float(sub.eval(F(tv)))
         assert abs(direct - via_series) < 100 * tv ** (order + 1)
+
+
+# -- series substitution against the tree-walker ---------------------------------
+
+_SERIES_ERRORS = (NonUnitDenominatorError, CompositionAtUnitError, NonzeroConstantTermError)
+
+
+@st.composite
+def _series_env(draw):
+    """x, y, z bound to series of one mode, each of its own order; about half are non-units."""
+    mode = draw(st.sampled_from([EXACT, float_mode(96)]))
+    coeff = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    env = {}
+    for name in XYZ:
+        order = draw(st.integers(1, 8))
+        coeffs = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+        if draw(st.booleans()):
+            coeffs[0] = F(0)
+        env[name] = TruncatedSeries.from_coeffs(coeffs, order, mode, "t")
+    return env
+
+
+def _series_outcome(fn):
+    try:
+        s = fn()
+    except _SERIES_ERRORS as err:
+        return (type(err).__name__, str(err))
+    exact = tuple(c if isinstance(c, F) else c._mpf_ for c in s.coeffs)
+    return ("value", exact, s.mode, s.var)
+
+
+_THIRD = TruncatedSeries.from_coeffs([F(1, 3), 1, 2], 2, float_mode(96), "t")
+
+
+@given(_expr_strategy(calls=True, max_leaves=8), _series_env())
+@example(Pow(Var("x"), -3), dict.fromkeys(XYZ, _THIRD))  # rounding pins 1/s^3, not (1/s)^3
+@settings(max_examples=300, deadline=None)
+def test_series_substitution_matches_tree_walker(tree, env):
+    got = _series_outcome(lambda: substitute_series(tree, env))
+    assert got == _series_outcome(lambda: substitute_series_reference(tree, env))

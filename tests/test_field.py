@@ -8,7 +8,7 @@ import pytest
 
 from interlace.curve import parse_curve
 from interlace.errors import NonAdaptedChartError
-from interlace.expr import BinOp, Var, evaluate, evaluate_mp, parse_expr, rename_vars, to_text
+from interlace.expr import BinOp, Var, evaluate_mp, parse_expr, rename_vars, to_text
 from interlace.field import (
     ReducedSystem,
     VectorField3,
@@ -17,6 +17,8 @@ from interlace.field import (
     invariance_check,
 )
 from interlace.series import TruncatedSeries, float_mode
+
+from _expr_reference import evaluate
 
 XI1 = VectorField3.from_text("xi1", "2*x^2", "2*(y-x)", "z-2*x")
 RADIAL = VectorField3.from_text("radial", "x", "y", "z")
