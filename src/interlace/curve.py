@@ -283,6 +283,8 @@ CURVE_PARAMS = ("t", "x")
 
 def parse_curve(text, order, mode=EXACT, half_branch=+1) -> FormalCurve:
     """Parse comma-separated component expressions into a FormalCurve."""
+    if order < 1:
+        raise ValueError(f"curve order must be at least 1, got {order}")
     parts = _split_components(text)
     if len(parts) < 2:
         raise DegenerateCurveError("a curve needs at least two components")

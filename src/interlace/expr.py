@@ -15,12 +15,14 @@ Precedence is the standard one: ^  >  unary -  >  * /  >  + -.  A literal
 other structure is kept verbatim so that parse -> print -> parse is stable.
 
 ``compile_expr`` is the one evaluator of these trees, over four algebras:
-float, Fraction, ``RationalFunction`` and ``TruncatedSeries``.
+float, Fraction, ``RationalFunction`` and ``TruncatedSeries``.  It emits a
+tree, or a tuple of trees, as straight-line Python source with one temporary
+per distinct sub-expression and compiles it once; the source holds only
+generated names, never text from the tree.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,7 +314,13 @@ def evaluate_mp(node, env, prec=160):
 
 
 def compile_expr(node, names, const=float, calls=None):
-    """Nested closures taking a sequence of values, one per entry of ``names``.
+    """Straight-line Python function of a sequence of values, one per ``names`` entry.
+
+    The tree is emitted once as Python source, one statement per operation
+    in the post-order a recursive evaluation would take, and compiled.  A
+    sub-expression that occurs more than once is computed once, at its first
+    occurrence.  ``node`` may be a tuple of trees: the function then returns
+    the tuple of their values, sharing what they have in common.
 
     Arithmetic uses the values' own operators: float, mpf, Fraction,
     ``polynomial.RationalFunction`` or ``series.TruncatedSeries``.  ``const``
@@ -320,67 +328,127 @@ def compile_expr(node, names, const=float, calls=None):
     and without it a call is rejected.  A zero divisor raises
     EvaluationSingularityError naming the sub-expression and the point; a
     series divisor without constant term raises NonUnitDenominatorError.
+
+    Only generated names reach the source (``_v0`` for the first entry of
+    ``names``, ``_t3`` for a temporary, ``_g2`` for a global); constants,
+    exponents, calls and the trees behind error messages are bound through
+    the function's globals.
     """
     names = tuple(names)
+    gen = _Codegen(names, const, calls)
+    if isinstance(node, tuple):
+        result = "(" + "".join(gen.emit(n) + ", " for n in node) + ")"
+    else:
+        result = gen.emit(node)
+    return gen.function(result)
 
-    def non_unit(den):
-        return NonUnitDenominatorError(f"denominator {to_text(den)!r} has zero constant term")
 
-    def build(node):
+_OPERATORS = {"+": "+", "-": "-", "*": "*"}
+
+
+class _Codegen:
+    """Source lines for ``compile_expr``, one temporary per distinct sub-expression."""
+
+    def __init__(self, names, const, calls):
+        self.names, self.const, self.calls = names, const, calls
+        self.lines = []
+        self.local = {}  # structural key -> name holding that value
+        self.subexprs = subexprs = []  # trees named by the error paths, by index
+        self.nonzero = set()  # divisors already tested
+
+        # the globals must not refer back to self or the function: a cycle
+        # would keep every compiled function alive until a full collection
+        def singular(i, point):
+            return EvaluationSingularityError(to_text(subexprs[i]), dict(zip(names, point)))
+
+        def non_unit(i):
+            den = to_text(subexprs[i])
+            return NonUnitDenominatorError(f"denominator {den!r} has zero constant term")
+
+        self.globals = {
+            "_singular": singular,
+            "_non_unit": non_unit,
+            "_NonUnitDivisorError": NonUnitDivisorError,
+        }
+
+    def _global(self, key, value):
+        """Name of a global bound to ``value``, once per ``key``."""
+        if key not in self.local:
+            name = self.local[key] = f"_g{len(self.local)}"
+            self.globals[name] = value
+        return self.local[key]
+
+    def emit(self, node):
+        """Emit the statements computing ``node``; return the name of its value."""
         if isinstance(node, Num):
-            c = const(node.value)
-            return lambda a: c
+            return self._global(("#", type(node.value), node.value), self.const(node.value))
         if isinstance(node, Var):
-            if node.name not in names:
+            if node.name not in self.names:
                 raise UnknownIdentifierError(f"no value bound for {node.name!r}")
-            return operator.itemgetter(names.index(node.name))
+            return f"_v{self.names.index(node.name)}"
         if isinstance(node, Neg):
-            arg = build(node.arg)
-            return lambda a: -arg(a)
+            arg = self.emit(node.arg)
+            return self._assign(("neg", arg), f"-{arg}")
         if isinstance(node, BinOp):
-            lhs, rhs = build(node.lhs), build(node.rhs)
-            if node.op == "+":
-                return lambda a: lhs(a) + rhs(a)
-            if node.op == "-":
-                return lambda a: lhs(a) - rhs(a)
-            if node.op == "*":
-                return lambda a: lhs(a) * rhs(a)
-
-            def divide(a):
-                num, den = lhs(a), rhs(a)
-                if den == 0:
-                    raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
-                try:
-                    return num / den
-                except NonUnitDivisorError:
-                    raise non_unit(node.rhs) from None
-
-            return divide
+            lhs, rhs = self.emit(node.lhs), self.emit(node.rhs)
+            op = _OPERATORS.get(node.op, "/")  # the source gets this table's text, never node.op
+            value = f"{lhs} {op} {rhs}"
+            if op != "/":
+                return self._assign((op, lhs, rhs), value)
+            return self._assign(("/", lhs, rhs), value, (rhs, node, node.rhs))
         if isinstance(node, Pow):
-            base, n = build(node.base), node.exponent
-            if n >= 0:
-                return lambda a: base(a) ** n
-
-            def reciprocal_power(a):
-                b = base(a)
-                if b == 0:
-                    raise EvaluationSingularityError(to_text(node), dict(zip(names, a)))
-                try:
-                    return b**n
-                except NonUnitDivisorError:
-                    raise non_unit(node) from None
-
-            return reciprocal_power
+            base = self.emit(node.base)
+            n = self._global(("int", node.exponent), node.exponent)
+            if node.exponent >= 0:
+                return self._assign(("^", base, n), f"{base} ** {n}")
+            return self._assign(("^", base, n), f"{base} ** {n}", (base, node, node))
         if isinstance(node, Call):
-            if calls is None:
+            if self.calls is None:
                 raise UnknownIdentifierError(
                     f"{node.fn!r} has no pointwise numeric meaning; substitute a series"
                 )
-            fn, arg = calls[node.fn], build(node.arg)
-            return lambda a: fn(arg(a))
+            fn = self._global(("fn", node.fn), self.calls[node.fn])
+            arg = self.emit(node.arg)
+            return self._assign(("call", fn, arg), f"{fn}({arg})")
         raise TypeError(f"not an expression node: {node!r}")
 
-    return build(node)
+    def _assign(self, key, value, guard=None):
+        """``_tN = value`` unless ``key`` was computed before.
+
+        ``guard`` is (divisor, node, denominator): the divisor is tested for
+        zero once, a constant while compiling and a computed value before its
+        first use, and a non-unit series divisor is reported as the denominator.
+        """
+        if key in self.local:
+            return self.local[key]
+        name = self.local[key] = f"_t{len(self.local)}"
+        if guard is None:
+            self.lines.append(f"{name} = {value}")
+            return name
+        divisor, node, den = guard
+        self.subexprs += [node, den]
+        if divisor in self.globals and not self.globals[divisor] == 0:
+            self.nonzero.add(divisor)
+        if divisor not in self.nonzero:
+            self.nonzero.add(divisor)
+            self.lines += [
+                f"if {divisor} == 0:",
+                f"    raise _singular({len(self.subexprs) - 2}, _a)",
+            ]
+        self.lines += [
+            "try:",
+            f"    {name} = {value}",
+            "except _NonUnitDivisorError:",
+            f"    raise _non_unit({len(self.subexprs) - 1}) from None",
+        ]
+        return name
+
+    def function(self, result):
+        unpack = "".join(f"_v{i}, " for i in range(len(self.names)))
+        body = ([f"{unpack}= _a"] if unpack else []) + self.lines + [f"return {result}"]
+        source = "def _compiled(_a):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, "<compile_expr>", "exec"), self.globals)
+        return self.globals.pop("_compiled")
 
 
 # -- series substitution --------------------------------------------------

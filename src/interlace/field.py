@@ -82,12 +82,11 @@ class ReducedSystem:
 
     @cached_property
     def _compiled(self):
-        return tuple(_expr.compile_expr(f, REDUCED_VARS) for f in (self.f1, self.f2))
+        return _expr.compile_expr((self.f1, self.f2), REDUCED_VARS)
 
     def rhs(self, x, y):
-        a = (x, *map(float, y))
-        f1, f2 = self._compiled
-        return (f1(a), f2(a))
+        y1, y2 = y
+        return self._compiled((x, float(y1), float(y2)))
 
     @property
     def dimension(self):
@@ -112,13 +111,11 @@ class DifferenceSystem:
 
     @cached_property
     def _compiled(self):
-        fs = (self.f1, self.f2, self.f3, self.f4)
-        return tuple(_expr.compile_expr(f, DIFFERENCE_VARS) for f in fs)
+        return _expr.compile_expr((self.f1, self.f2, self.f3, self.f4), DIFFERENCE_VARS)
 
     def rhs(self, x, y):
-        a = (x, *map(float, y))
-        f1, f2, f3, f4 = self._compiled
-        return (f1(a), f2(a), f3(a), f4(a))
+        y1, y2, z1, z2 = y
+        return self._compiled((x, float(y1), float(y2), float(z1), float(z2)))
 
     @property
     def dimension(self):

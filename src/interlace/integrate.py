@@ -7,8 +7,12 @@ side is integrated in s = log x by default (steps then measure the approach
 rate to 0), a heuristic exposed as a flag.
 
 The step loop runs on plain Python floats, since the state has only 2 or 4
-components; numpy builds the trajectory arrays at the end.  Its order of
-floating-point operations is fixed so that results equal the numpy loop it
+components; numpy builds the trajectory arrays at the end.  One step (seven
+right-hand-side stages, the 5th- and 4th-order solutions and the error norm)
+is Python source unrolled over the components, generated once per dimension
+and log substitution (``_kernel``); it calls the system's ``rhs`` for every
+stage.  Step-size control stays in ``_dopri5``.  The order of floating-point
+operations is fixed so that results equal the numpy loop the scalar loop
 replaced (kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
@@ -21,6 +25,7 @@ right-hand side is an exact difference quotient evaluated in float64
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -155,18 +160,10 @@ class Trajectory:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _rhs_callable(system):
-    if isinstance(system, (ReducedSystem, DifferenceSystem)):
-        return system.rhs
-    rhs = getattr(system, "rhs", None)
-    if rhs is None:
-        raise TypeError(f"cannot integrate {type(system).__name__}")
-    return rhs
-
-
 def solve(ivp: IVP) -> Trajectory:
     """Integrate from x_start down to x_end with local error <= tolerance."""
-    rhs = _rhs_callable(ivp.system)
+    if not isinstance(ivp.system, (ReducedSystem, DifferenceSystem)):
+        raise TypeError(f"cannot integrate {type(ivp.system).__name__}")
     atol = [float(ivp.atol)] * ivp.system.dimension
     if ivp.atol_overrides is not None:
         for k, v in enumerate(ivp.atol_overrides):
@@ -174,25 +171,10 @@ def solve(ivp: IVP) -> Trajectory:
                 atol[k] = float(v)
 
     logsub = ivp.use_log_substitution()
-
-    def f(t, u):
-        # t is x, or s = log x under the substitution
-        x = math.exp(t) if logsub else t
-        try:
-            vals = rhs(x, u)
-        except EvaluationSingularityError as err:
-            raise AdaptedChartError(str(err), last_x=x) from err
-        except (OverflowError, FloatingPointError) as err:
-            raise BlowUpError(str(err), last_x=x) from err
-        out = list(map(float, vals))
-        if not all(map(math.isfinite, out)):
-            raise BlowUpError("non-finite right-hand side", last_x=x)
-        return [v * x for v in out] if logsub else out
-
     t0 = math.log(ivp.x_start) if logsub else ivp.x_start
     t1 = math.log(ivp.x_end) if logsub else ivp.x_end
 
-    ts, us, dus, stats = _dopri5(f, t0, t1, [float(v) for v in ivp.y0],
+    ts, us, dus, stats = _dopri5(ivp.system.rhs, t0, t1, tuple(float(v) for v in ivp.y0),
                                  ivp.rtol, atol, ivp.max_steps, logsub)
 
     xs = np.exp(ts) if logsub else ts
@@ -239,24 +221,14 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
     return gamma, eps
 
 
-def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
-    # The state is a list of Python floats: with 2 or 4 components numpy's
-    # per-call overhead outweighs the arithmetic.  Every sum adds in a fixed
-    # order, so results equal the numpy loop it replaced bit for bit: a stage
-    # sum is 0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum,
-    # and the error mean adds left to right, as np.mean does below 8 terms
-    # (the systems here have 2 or 4).
-    c2, c3, c4, c5 = _C[1:5]
-    (a21,), (a31, a32), (a41, a42, a43) = _A[1:4]
-    (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A[4:6]
-    b1, _, b3, b4, b5, b6, _ = _B5
-    e1, _, e3, e4, e5, e6, e7 = _B4
-    dim = len(y0)
+def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
+    # step control; the stages and the error norm are in the generated kernel
+    first, step = _kernel(len(y0), logsub)
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     t = t0
     y = y0
-    k1 = f(t, y)
+    k1 = first(rhs, t, y)
     h = sign * min(span / 100.0, _initial_step(t0, np.array(y), np.array(k1),
                                                rtol, np.array(atol), logsub))
 
@@ -284,38 +256,7 @@ def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
                     last_x=x_here,
                 )
 
-        k2 = f(t + c2 * h, [u + h * (0.0 + a21 * p1) for u, p1 in zip(y, k1)])
-        k3 = f(t + c3 * h, [u + h * (0.0 + a31 * p1 + a32 * p2)
-                            for u, p1, p2 in zip(y, k1, k2)])
-        k4 = f(t + c4 * h, [u + h * (0.0 + a41 * p1 + a42 * p2 + a43 * p3)
-                            for u, p1, p2, p3 in zip(y, k1, k2, k3)])
-        k5 = f(t + c5 * h, [u + h * (0.0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                            for u, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + h, [u + h * (0.0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-                       for u, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-        y5 = [u + h * (0.0 + b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-              for u, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        # the last stage row is _B5; its 0*k2 term (k2 is finite) adds +-0 to
-        # a sum that is never -0, so the stage point is y5 itself, bit for bit
-        k7 = f(t + h, y5)
-        y4 = [u + h * (0.0 + e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-              for u, p1, p3, p4, p5, p6, p7 in zip(y, k1, k3, k4, k5, k6, k7)]
-        square_sum = 0.0
-        for u, v5, v4, tol in zip(y, y5, y4, atol):
-            # y is finite (IVP checks y0; an accepted y5 is finite), so a NaN
-            # in y5 carries into the scale as it does through np.maximum
-            au, a5 = abs(u), abs(v5)
-            scale = tol + rtol * (au if au >= a5 else a5)
-            diff = abs(v5 - v4)
-            if scale > 0:
-                ratio = diff / scale
-            else:
-                ratio = math.inf if diff > 0 else 0.0
-            if ratio > 1e300:  # NaN passes through, as with np.minimum
-                ratio = 1e300
-            square_sum += ratio * ratio
-        err = math.sqrt(square_sum / dim)
-
+        y5, k7, err = step(rhs, t, h, y, k1, rtol, atol)
         if err <= 1.0:
             t = t + h
             y = y5
@@ -333,6 +274,101 @@ def _dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
 
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
     return np.array(ts), np.array(ys), np.array(dys), stats
+
+
+@functools.cache
+def _kernel(dim, logsub):
+    """``first(rhs, t, y)`` -> k1 and ``step(rhs, t, h, y, k1, rtol, atol)`` -> (y5, k7, err).
+
+    Python source unrolled over ``dim`` components, generated once per
+    (dimension, log substitution).  Every stage goes through ``_stage_lines``,
+    which does what one right-hand-side evaluation needs: map t to x, call
+    ``rhs``, turn its failures into solver errors with that stage's x, check
+    finiteness and scale by x under the substitution.  The order of
+    floating-point operations is fixed: a stage sum is 0 + a_1 k_1 + a_2 k_2
+    + ... in tableau order before y + h*sum, zero coefficients left out, and
+    the error mean adds left to right, as np.mean does below 8 terms.
+    """
+    comps = range(dim)
+
+    def vec(name):
+        return [f"{name}_{i}" for i in comps]
+
+    def combine(row, i):
+        terms = "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(row, start=1) if c)
+        return f"y_{i} + h * (0.0{terms})"
+
+    def at(c):
+        return "t + h" if c == 1.0 else f"t + {c!r} * h"
+
+    def unpack(names, value):
+        return "".join(f"{n}, " for n in names) + f"= {value}"
+
+    def state(values):
+        return "(" + "".join(f"{v}, " for v in values) + ")"
+
+    first = _stage_lines(vec("k1"), "t", "y", logsub) + [f"return {state(vec('k1'))}"]
+    step = [unpack(vec("y"), "y"), unpack(vec("k1"), "k1"), unpack(vec("atol"), "atol")]
+    for s in range(1, 6):
+        step += _stage_lines(vec(f"k{s + 1}"), at(_C[s]), state(combine(_A[s], i) for i in comps),
+                             logsub)
+    step += [f"y5_{i} = {combine(_B5, i)}" for i in comps]
+    # the last stage row is _B5; its 0*k2 term (k2 is finite) adds +-0 to a
+    # sum that is never -0, so the stage point is y5 itself, bit for bit
+    step += _stage_lines(vec("k7"), at(_C[6]), state(vec("y5")), logsub)
+    step += [f"y4_{i} = {combine(_B4, i)}" for i in comps]
+    for i in comps:
+        # y is finite (IVP checks y0; an accepted y5 is finite), so a NaN in
+        # y5 carries into the scale as it does through np.maximum
+        step += [
+            f"au = abs(y_{i})",
+            f"a5 = abs(y5_{i})",
+            f"scale = atol_{i} + rtol * (au if au >= a5 else a5)",
+            f"diff = abs(y5_{i} - y4_{i})",
+            "if scale > 0:",
+            f"    r_{i} = diff / scale",
+            "else:",
+            f"    r_{i} = inf if diff > 0 else 0.0",
+            f"if r_{i} > 1e300:  # NaN passes through, as with np.minimum",
+            f"    r_{i} = 1e300",
+        ]
+    squares = "".join(f" + r_{i} * r_{i}" for i in comps)
+    step += [
+        f"err = sqrt((0.0{squares}) / {dim})",
+        f"return {state(vec('y5'))}, {state(vec('k7'))}, err",
+    ]
+    source = "".join(
+        f"def {header}:\n" + "".join(f"    {line}\n" for line in body)
+        for header, body in (("first(rhs, t, y)", first),
+                             ("step(rhs, t, h, y, k1, rtol, atol)", step))
+    )
+    namespace = {
+        "exp": math.exp, "sqrt": math.sqrt, "inf": math.inf,
+        "EvaluationSingularityError": EvaluationSingularityError,
+        "AdaptedChartError": AdaptedChartError, "BlowUpError": BlowUpError,
+    }
+    exec(compile(source, f"<dopri5 kernel, dimension {dim}>", "exec"), namespace)
+    return namespace["first"], namespace["step"]
+
+
+def _stage_lines(out, t, y, logsub):
+    """Kernel lines setting the names ``out`` to the right-hand side at (t, y).
+
+    ``rhs`` returns Python floats, as ``ReducedSystem.rhs`` and
+    ``DifferenceSystem.rhs`` do, so its values enter the stage sums as they are.
+    """
+    return [
+        f"x = exp({t})" if logsub else f"x = {t}",
+        "try:",
+        f"    {''.join(f'{k}, ' for k in out)}= rhs(x, {y})",
+        "except EvaluationSingularityError as err:",
+        "    raise AdaptedChartError(str(err), last_x=x) from err",
+        "except (OverflowError, FloatingPointError) as err:",
+        "    raise BlowUpError(str(err), last_x=x) from err",
+        # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
+        f"if {' + '.join(f'({k} - {k})' for k in out)} != 0.0:",
+        '    raise BlowUpError("non-finite right-hand side", last_x=x)',
+    ] + ([f"{', '.join(out)} = {', '.join(f'{k} * x' for k in out)}"] if logsub else [])
 
 
 def _check_finite(name, values):

@@ -1,7 +1,7 @@
 """Multivariate polynomials and rational functions with rational coefficients.
 
-The exact algebra behind ``expr.compile_expr``: run an expression's closure
-on ``RationalFunction`` arguments and it returns the expression as P/Q.
+The exact algebra behind ``expr.compile_expr``: run an expression's compiled
+function on ``RationalFunction`` arguments and it returns the expression as P/Q.
 ``field.difference_system`` expands gap numerators this way, and
 ``pipelines.expr_to_poly`` reads univariate coefficients from it.
 """

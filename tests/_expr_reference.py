@@ -2,7 +2,7 @@
 
 ``evaluate`` (floats) and ``substitute_series``/``_subst`` (truncated series)
 are verbatim copies of the recursive interpreters that ``compile_expr``
-replaced; the differential tests compare the compiled closures against them.
+replaced; the differential tests compare the generated code against them.
 """
 
 from interlace import series as _series

@@ -313,6 +313,21 @@ def test_relation_degree_below_one_is_a_usage_error(degree, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["tangents", "--curve", "t,t^2", "--order", "0"],
+        ["invariance", "--field", "x", "y", "z", "--curve", "t,t,t", "--order", "-1"],
+        ["relations", "--curve", "x,E(x)", "--deg", "1", "--jet", "0"],
+    ],
+)
+def test_curve_order_below_one_is_a_usage_error(argv, capsys):
+    # each of these truncates the curve at order 0 (invariance uses --order + 1)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: curve order must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["tangents", "--curve", "t,1/t"], "denominator 't' has zero constant term"),

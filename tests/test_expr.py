@@ -151,7 +151,7 @@ def test_parsed_trees_round_trip_exactly():
         assert parse_expr(to_text(tree), XYZ) == tree
 
 
-# -- compiled closures against the tree-walker ----------------------------------
+# -- generated code against the tree-walker ------------------------------------
 
 
 def _outcome(fn):
@@ -168,10 +168,66 @@ _POINT = st.tuples(*[st.one_of(st.just(0.0), st.floats(-50, 50)) for _ in XYZ])
 
 @given(_expr_strategy(), _POINT)
 @settings(max_examples=400, deadline=None)
-def test_compiled_closures_match_tree_walker_bit_for_bit(tree, values):
+def test_generated_code_matches_tree_walker_bit_for_bit(tree, values):
     env = dict(zip(XYZ, values))
     f = compile_expr(tree, XYZ)
     assert _outcome(lambda: f(values)) == _outcome(lambda: evaluate(tree, env))
+
+
+def _outcomes(fn):
+    """Hex values of a tuple-valued call, or its failure's type, message and point."""
+    try:
+        return ("value", tuple(v.hex() for v in fn()))
+    except EvaluationSingularityError as err:
+        return ("singular", str(err), err.subexpr_text, err.point)
+    except OverflowError as err:
+        return ("overflow", str(err))
+
+
+_SHARED_POOL = st.lists(_expr_strategy(max_leaves=5), min_size=1, max_size=3)
+
+
+@st.composite
+def _sharing_trees(draw):
+    """One to four trees combining a pool of sub-trees in two layers, so they repeat."""
+    pool = draw(_SHARED_POOL)
+    for size in (3, 4):
+        layer = []
+        for _ in range(draw(st.integers(1, size))):
+            a, b = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+            kind = draw(st.integers(0, 5))
+            if kind < 4:
+                layer.append(BinOp("+-*/"[kind], a, b))
+            else:
+                layer.append(Neg(a) if kind == 4 else Pow(a, draw(st.integers(-2, 2))))
+        pool += layer
+    return tuple(pool[-draw(st.integers(1, 4)):])
+
+
+@given(_sharing_trees(), _POINT)
+@settings(max_examples=300, deadline=None)
+def test_multi_output_with_shared_subtrees_matches_tree_walker(trees, values):
+    # one call computes every tree, each shared sub-tree once; the reference
+    # evaluates tree by tree, and the first failure ends both
+    env = dict(zip(XYZ, values))
+    f = compile_expr(trees, XYZ)
+    want = _outcomes(lambda: [evaluate(t, env) for t in trees])
+    assert _outcomes(lambda: f(values)) == want
+
+
+@pytest.mark.parametrize(
+    "name", ["import", "a b", "); __import__('os')#", "_v1", "_a", "_t0", "x\ny"]
+)
+def test_variable_names_never_reach_the_source(name):
+    # any string can name a variable: the generated code only sees positions
+    names = ("_v0", name)
+    tree = BinOp("/", Var(name), BinOp("-", Var("_v0"), Num(F(1))))
+    f = compile_expr((tree, Var(name)), names)
+    assert f((3.0, 6.0)) == (3.0, 6.0)
+    with pytest.raises(EvaluationSingularityError) as err:
+        f((1.0, 6.0))
+    assert err.value.point == {"_v0": 1.0, name: 6.0}
+    assert err.value.subexpr_text == to_text(tree)
 
 
 def test_compiled_zero_divisor_names_subexpression_and_point():

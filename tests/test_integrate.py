@@ -2,7 +2,7 @@
 
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from interlace.errors import (
     MaxStepsError,
     StiffnessError,
 )
-from interlace.field import ReducedSystem, difference_system
+from interlace.field import DifferenceSystem, ReducedSystem, difference_system
 from interlace.integrate import IVP, solve, solve_pair
 from interlace.registry import ENTRIES
 from interlace.series import euler_series
@@ -228,7 +228,7 @@ def test_ivp_validation():
 
 
 def _reference_solve(ivp):
-    rhs = integrate._rhs_callable(ivp.system)
+    rhs = ivp.system.rhs
     dim = ivp.system.dimension
     atol = np.full(dim, ivp.atol)
     if ivp.atol_overrides is not None:
@@ -389,3 +389,81 @@ def test_scalar_loop_fails_like_numpy_reference(f1, x_start, x_end, y0, kwargs, 
     got = _failure(solve, ivp)
     assert got[0] is expected
     assert got == _failure(_reference_solve, ivp)
+
+
+# -- the generated step kernel against the numpy reference -------------------
+
+
+@pytest.mark.parametrize("name", ["euler_pair", "rotating"])
+@pytest.mark.parametrize("log_substitution", [True, False])
+def test_planar_kernel_matches_numpy_reference(name, log_substitution):
+    ivp = _registry_ivp(name, rtol=1e-10, atol=1e-12, log_substitution=log_substitution)
+    ivp = replace(ivp, y0=(1.0, 0.5))
+    _assert_same_trajectory(solve(ivp), _reference_solve(ivp))
+
+
+def _failing_copy(system, call, failure):
+    """``system`` as a subclass whose ``call``-th right-hand side fails."""
+    calls = iter(range(1, call + 1))
+
+    class Failing(type(system)):
+        def rhs(self, x, y):
+            out = super().rhs(x, y)
+            if next(calls, None) != call:
+                return out
+            if failure == "singular":
+                raise EvaluationSingularityError("y1/(x - x)", {"x": x})
+            if failure in ("inf", "nan"):
+                return (out[0], float(failure), *out[2:])
+            raise failure(f"stub {failure.__name__}")
+
+    return Failing(**{f.name: getattr(system, f.name) for f in fields(system)})
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("failure", ["singular", OverflowError, FloatingPointError, "inf", "nan"])
+@pytest.mark.parametrize("call", [1, 2, 3, 4, 5, 6, 7, 100])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # numpy reference on a NaN stage
+def test_stage_failures_match_numpy_reference(dimension, log_substitution, failure, call):
+    # calls 1..7 are k1 and the six stages of the first step; call 100 is mid-run
+    ivp = replace(_registry_ivp("rotating", log_substitution=log_substitution), y0=(1.0, 0.5))
+    if dimension == 4:
+        ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + (0.1, 0.0))
+    got = _failure(solve, replace(ivp, system=_failing_copy(ivp.system, call, failure)))
+    want = _failure(_reference_solve, replace(ivp, system=_failing_copy(ivp.system, call, failure)))
+    assert got == want
+    assert got[0] is (AdaptedChartError if failure == "singular" else BlowUpError)
+
+
+def test_only_reduced_and_difference_systems_integrate():
+    class Duck:
+        dimension = 2
+
+        def rhs(self, x, y):
+            return y
+
+    with pytest.raises(TypeError, match="cannot integrate Duck"):
+        solve(IVP(Duck(), 1.0, 0.5, (1.0, 1.0)))
+
+
+def test_every_stage_calls_the_system_rhs(monkeypatch):
+    # the benchmark's field.rhs span wraps the class attribute, so the kernel
+    # must look it up: k1 once, then six stages per attempted step
+    calls = [0]
+    original = DifferenceSystem.rhs
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(DifferenceSystem, "rhs", counting)
+    total = 0
+    for name in ("euler_pair", "rotating"):
+        calls[0] = 0
+        ivp = _registry_ivp(name, rtol=1e-12, atol=1e-14)
+        gamma, _ = solve_pair(ivp, tuple(ENTRIES[name].config.eps0))
+        attempted = gamma.meta["n_steps"] + gamma.meta["n_rejected"]
+        assert calls[0] == 1 + 6 * attempted
+        total += calls[0]
+    assert total == 61628  # the pair_tight workload at seed 0
