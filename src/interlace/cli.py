@@ -159,7 +159,6 @@ def build_parser():
 def config_from_args(args):
     """RunConfig plus the key/value pairs the user actually supplied."""
     explicit = load_config_values(args.config) if args.config else {}
-    explicit["command"] = args.cmd
     for key, value in vars(args).items():
         if key in KEYS and value is not None:
             explicit[key] = tuple(value) if isinstance(value, list) else value
@@ -170,10 +169,9 @@ def _run_command(args):
     config, explicit = config_from_args(args)
     config, entry = pipelines.resolve(config, explicit)
     command = COMMANDS[args.cmd]
-    outdir = config.outdir if "outdir" in explicit else None
-    payload, code = pipelines.RUNNERS[command.kind](config, entry, outdir)
-    if outdir is not None:
-        path = report.write_json(Path(outdir) / "report.json", payload)
+    payload, code = pipelines.RUNNERS[command.kind](config, entry, config.outdir)
+    if config.outdir is not None:
+        path = report.write_json(Path(config.outdir) / "report.json", payload)
         if command.prints_report_path:
             print(f"{args.cmd}: wrote {path}")
     command.summary(config, payload)

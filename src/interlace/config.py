@@ -7,9 +7,9 @@ use commas for numbers and semicolons for expressions.  Each field of
 config text and for the CLI flag, and ``to_text``/``parse_config_text``
 round-trip exactly.  Most keys are also long CLI flags (``--x-start`` for
 ``x_start``, ``--deg`` for ``degree``, ``--field FX FY FZ`` for
-``field_components``); ``command``, ``max_steps``, ``hardy_turn_bound``,
-``flat_bound`` and ``final_decade`` have no flag and are set only in a
-config file or a registry entry.
+``field_components``); ``max_steps``, ``hardy_turn_bound``, ``flat_bound``
+and ``final_decade`` have no flag and are set only in a config file or a
+registry entry.  The subcommand is not a key: the command line names it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def _key(kind, default=None, flag=None, **flag_options):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str | None = _key(STR)
     example: str | None = _key(STR, help="registry entry name")
     # the flag takes three words, a config file takes "fx; fy; fz"
     field_components: tuple | None = _key(
@@ -97,7 +96,7 @@ class RunConfig:
     hardy_turn_bound: float = _key(FLOAT, 0.5)
     flat_bound: float = _key(FLOAT, 10.0)
     final_decade: float = _key(FLOAT, 10.0)
-    outdir: str = _key(STR, "out", help="directory for report.json and artifacts")
+    outdir: str | None = _key(STR, help="directory for report.json and artifacts")
 
     def to_text(self):
         lines = [

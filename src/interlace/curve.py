@@ -1,7 +1,9 @@
 """Formal curves, oriented iterated tangents, and Puiseux-asymptotics probes.
 
 A formal curve is a tuple of truncated series in a parameter t, each with
-valuation >= 1, together with a half-branch sign selecting t > 0 or t < 0.
+valuation >= 1, read on the half-branch t > 0.  The half-branch t < 0 is the
+substitution t -> -t (``FormalCurve.reparameterized(-1)``), applied once when
+a command builds its curve, so every consumer reads the components as stored.
 A spherical blow-up step works in the directional chart of the component of
 minimal valuation: the pivot is kept, every other component is divided by it
 and re-centered, and the sphere point is recorded as the (un-normalized)
@@ -29,10 +31,13 @@ from .series import EXACT, INF, TruncatedSeries
 
 @dataclass(frozen=True)
 class FormalCurve:
-    """Components (c_1(t), ..., c_m(t)), each with val >= 1, plus branch sign."""
+    """Components (c_1(t), ..., c_m(t)), each with val >= 1, read for t > 0.
+
+    The negative half-branch is the curve ``reparameterized(-1)``: the
+    substitution t -> -t, applied when the curve is built.
+    """
 
     components: tuple
-    half_branch: int = +1  # +1 for t > 0, -1 for t < 0
 
     def __post_init__(self):
         if len(self.components) < 2:
@@ -44,8 +49,6 @@ class FormalCurve:
                 raise DegenerateCurveError(
                     "curve components must vanish at the parameter origin"
                 )
-        if self.half_branch not in (+1, -1):
-            raise ValueError("half_branch must be +1 or -1")
 
     @property
     def mode(self):
@@ -55,28 +58,17 @@ class FormalCurve:
     def order(self):
         return min(s.order for s in self.components)
 
-    def effective_components(self):
-        """Branch-applied components: t -> -t on the negative half-branch."""
-        if self.half_branch > 0:
-            return self.components
-        return tuple(
-            TruncatedSeries(
-                tuple(c if i % 2 == 0 else -c for i, c in enumerate(s.coeffs)),
-                s.mode,
-                s.var,
-            )
-            for s in self.components
-        )
-
     def truncated(self, order):
-        return FormalCurve(
-            tuple(s.truncated(order) for s in self.components), self.half_branch
-        )
+        return FormalCurve(tuple(s.truncated(order) for s in self.components))
 
     def reparameterized(self, lam):
-        """t -> lam * t with lam > 0 (keeps the half-branch)."""
-        if lam <= 0:
-            raise ValueError("reparameterization factor must be positive")
+        """t -> lam * t for any nonzero lam; lam = -1 gives the other half-branch.
+
+        Coefficients are scaled under the mode's precision context, so a
+        big-float curve keeps its precision.
+        """
+        if lam == 0:
+            raise ValueError("reparameterization factor must be nonzero")
         out = []
         for s in self.components:
             with s.mode.context():
@@ -88,7 +80,7 @@ class FormalCurve:
                         s.var,
                     )
                 )
-        return FormalCurve(tuple(out), self.half_branch)
+        return FormalCurve(tuple(out))
 
     def to_puiseux(self):
         """Interpret as (t^nu, theta) when the first component is exactly t^nu."""
@@ -101,13 +93,7 @@ class FormalCurve:
         )
         if not mono_ok:
             raise ValueError("first component must be exactly t^nu")
-        return PuiseuxCurve(int(v), tuple(self.components[1:]), self.half_branch)
-
-    def to_json_dict(self):
-        return {
-            "half_branch": "+" if self.half_branch > 0 else "-",
-            "components": [s.to_json_dict() for s in self.components],
-        }
+        return PuiseuxCurve(int(v), tuple(self.components[1:]))
 
 
 @dataclass(frozen=True)
@@ -116,7 +102,6 @@ class PuiseuxCurve:
 
     nu: int
     theta: tuple
-    half_branch: int = +1
 
     def __post_init__(self):
         if self.nu < 1:
@@ -137,8 +122,8 @@ class TangentStep:
 
 
 def leading_direction(c: FormalCurve):
-    """Coefficient vector at t^v, v the minimal valuation, branch-oriented."""
-    comps = c.effective_components()
+    """Coefficient vector at t^v, v the minimal valuation."""
+    comps = c.components
     v = min(s.val() for s in comps)
     if v == INF:
         raise DegenerateCurveError("zero curve has no direction")
@@ -155,14 +140,14 @@ def leading_direction(c: FormalCurve):
 
 def spherical_blowup_step(c: FormalCurve) -> TangentStep:
     """Strict transform in the directional chart of the minimal-valuation pivot."""
-    comps = c.effective_components()
+    comps = c.components
     vals = [s.val() for s in comps]
     v = min(vals)
     if v == INF:
         raise DegenerateCurveError("zero curve cannot be blown up")
     v = int(v)
     pivot = vals.index(v)  # lowest index among minimal valuations
-    direction = leading_direction(FormalCurve(comps, +1))
+    direction = leading_direction(c)
     pivot_series = comps[pivot]
 
     new_order = min(s.order for s in comps) - v
@@ -178,7 +163,7 @@ def spherical_blowup_step(c: FormalCurve) -> TangentStep:
         q = _series.shift_divide(s.truncated(new_order + v), pivot_series.truncated(new_order + v))
         ratio = q.constant_term()
         new_comps.append(q - TruncatedSeries.constant(ratio, q.order, q.mode, q.var))
-    transformed = FormalCurve(tuple(new_comps), +1)
+    transformed = FormalCurve(tuple(new_comps))
     return TangentStep(direction, pivot, transformed)
 
 
@@ -214,16 +199,6 @@ class AsymptoticReport:
     jet_order: int
     probes: tuple
     slopes: tuple
-
-    def to_json_dict(self):
-        return {
-            "jet_order": self.jet_order,
-            "probes": [
-                {"x": p.x, "deviation": p.deviation, "empirical_order": p.empirical_order}
-                for p in self.probes
-            ],
-            "slopes": list(self.slopes),
-        }
 
 
 def asymptotic_deviation(traj, curve: PuiseuxCurve, jet_order: int, probes) -> AsymptoticReport:
@@ -281,7 +256,7 @@ def _eval_bigfloat(s: TruncatedSeries, t):
 CURVE_PARAMS = ("t", "x")
 
 
-def parse_curve(text, order, mode=EXACT, half_branch=+1) -> FormalCurve:
+def parse_curve(text, order, mode=EXACT) -> FormalCurve:
     """Parse comma-separated component expressions into a FormalCurve."""
     if order < 1:
         raise ValueError(f"curve order must be at least 1, got {order}")
@@ -295,7 +270,7 @@ def parse_curve(text, order, mode=EXACT, half_branch=+1) -> FormalCurve:
     param = used.pop() if used else "t"
     ident = TruncatedSeries.identity(order, mode, param)
     comps = tuple(_expr.substitute_series(tree, {param: ident}) for tree in trees)
-    return FormalCurve(comps, half_branch)
+    return FormalCurve(comps)
 
 
 def _split_components(text):

@@ -187,7 +187,7 @@ def invariance_check(v: VectorField3, c: FormalCurve, order: int, tolerance=1e-3
     parallelism defects  xi_j(C) * C_pivot' - xi_pivot(C) * C_j'  are
     reported as residuals instead.
     """
-    comps = c.effective_components()
+    comps = c.components
     if len(comps) != 3:
         raise ValueError("invariance_check needs a three-component curve")
     if min(s.order for s in comps) < order + 1:

@@ -146,11 +146,8 @@ class Trajectory:
             return vals[0]
         return vals
 
-    def component(self, k):
-        return self.ys[:, k]
-
-    def slice(self, cols, meta=None):
-        return Trajectory(self.xs, self.ys[:, cols], self.dys[:, cols], meta or self.meta)
+    def slice(self, cols):
+        return Trajectory(self.xs, self.ys[:, cols], self.dys[:, cols], self.meta)
 
     def write_csv(self, fh):
         names = ["x", "y1", "y2", "z1", "z2"][: 1 + self.dimension]
@@ -216,9 +213,7 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
         atol_overrides=(None, None, 0.0, 0.0),
     )
     traj = solve(pair_ivp)
-    gamma = traj.slice([0, 1], meta={**traj.meta, "role": "solution"})
-    eps = traj.slice([2, 3], meta={**traj.meta, "role": "gap"})
-    return gamma, eps
+    return traj.slice([0, 1]), traj.slice([2, 3])
 
 
 def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
@@ -245,6 +240,10 @@ def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
         x_here = _to_x(t, logsub)
         h_floor = STEP_UNDERFLOW_FACTOR * (abs(x_here) if not logsub else 1.0)
         if abs(h) < h_floor:
+            # a last step shorter than the floor is rounding, not stiffness:
+            # the run has reached t1 (solve pins the last knot to x_end)
+            if n_steps and abs(t1 - t) < h_floor:
+                break
             raise StiffnessError("step size underflow", last_x=x_here)
         # progress projection: creeping toward a singular point can hold h
         # above the underflow floor while never finishing; give up once even

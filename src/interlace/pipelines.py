@@ -38,7 +38,7 @@ def resolve(config: RunConfig, explicit) -> tuple[RunConfig, RegistryEntry | Non
     if config.example is None:
         return config, None
     entry = get_entry(config.example)
-    overlay = {k: v for k, v in explicit.items() if k not in ("example", "command")}
+    overlay = {k: v for k, v in explicit.items() if k != "example"}
     return replace(entry.config, **overlay), entry
 
 
@@ -47,18 +47,20 @@ def _coefficient_mode(config):
 
 
 def _build_curve(config, entry, order):
+    """The run's curve on its half-branch: t < 0 is the substitution t -> -t."""
     mode = _coefficient_mode(config)
     if config.curve is not None:
-        branch = +1 if config.branch != "-" else -1
-        return parse_curve(config.curve, order, mode, branch)
-    if entry is not None and entry.curve_builder is not None:
+        curve = parse_curve(config.curve, order, mode)
+    elif entry is not None and entry.curve_builder is not None:
         if config.mode != "float":
             raise ValueError(
                 f"the {entry.name!r} curve has irrational coefficients and "
                 "exists only in float mode"
             )
-        return entry.curve_builder(order, config.precision)
-    raise ValueError("no curve given: pass --curve or pick an example that has one")
+        curve = entry.curve_builder(order, config.precision)
+    else:
+        raise ValueError("no curve given: pass --curve or pick an example that has one")
+    return curve.reparameterized(-1) if config.branch == "-" else curve
 
 
 def _log_flag(config):

@@ -26,12 +26,6 @@ class Fact:
     provenance: str
     rel_tol: float | None = None
 
-    def to_json_dict(self):
-        d = {"key": self.key, "value": self.value, "provenance": self.provenance}
-        if self.rel_tol is not None:
-            d["rel_tol"] = self.rel_tol
-        return d
-
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -40,7 +34,7 @@ class RegistryEntry:
     description: str
     config: RunConfig
     expected: tuple = ()
-    curve_builder: object = None  # optional callable(order) -> FormalCurve
+    curve_builder: object = None  # optional callable(order, precision) -> FormalCurve
 
 
 def _flat_tower_curve(order, precision=128):
@@ -57,7 +51,7 @@ def _flat_tower_curve(order, precision=128):
     one = TruncatedSeries.constant(1, order, mode, "t")
     ratio = one + tail_T(e_high, 1)  # E(t)/t exactly, valuation shift by hand
     z = t * exp_series(ratio)
-    return FormalCurve((t, e_high.truncated(order), z), +1)
+    return FormalCurve((t, e_high.truncated(order), z))
 
 
 _ENTRIES = [
@@ -69,7 +63,6 @@ _ENTRIES = [
             "(t, E(t), E(2t)); separated pencil, Euler-series center curve"
         ),
         config=RunConfig(
-            command="invariance",
             example="xi1",
             field_components=("2*x^2", "2*(y-x)", "z-2*x"),
             curve="t, E(t), E(2*t)",
@@ -88,7 +81,6 @@ _ENTRIES = [
             "(t, E(t), E(-t)); mirrored-argument Euler tail"
         ),
         config=RunConfig(
-            command="invariance",
             example="xi2",
             field_components=("x^2", "y-x", "-(z+x)"),
             curve="t, E(t), E(-t)",
@@ -107,7 +99,6 @@ _ENTRIES = [
             "with invariant curve (t, E(t), E(t+t^2))"
         ),
         config=RunConfig(
-            command="invariance",
             example="xi3",
             field_components=(
                 "x^2",
@@ -130,7 +121,6 @@ _ENTRIES = [
             "(t, E(t), t exp(E(t)))"
         ),
         config=RunConfig(
-            command="invariance",
             example="xi4_mu1",
             field_components=("x^2", "y-x", "y*z"),
             curve="t, E(t), t*exp(E(t))",
@@ -146,7 +136,6 @@ _ENTRIES = [
         kind="invariance",
         description="same field as xi4_mu1 with the doubled curve (t, E(t), 2t exp(E(t)))",
         config=RunConfig(
-            command="invariance",
             example="xi4_mu2",
             field_components=("x^2", "y-x", "y*z"),
             curve="t, E(t), 2*t*exp(E(t))",
@@ -165,7 +154,6 @@ _ENTRIES = [
             "curve (t, E(t), t exp(E(t)/t)); the exp factor e is irrational"
         ),
         config=RunConfig(
-            command="invariance",
             example="flat_tower",
             field_components=("x^3", "x*(y-x)", "z*(y-x)*(1-x)"),
             order=20,
@@ -186,7 +174,6 @@ _ENTRIES = [
             "solutions carry log terms, so this entry is numeric only"
         ),
         config=RunConfig(
-            command="integrate",
             example="log_demo",
             f1="y1^2/x",
             f2="y2/x^2",
@@ -210,7 +197,6 @@ _ENTRIES = [
             "like exp(-1/x), a flat contact exemplar"
         ),
         config=RunConfig(
-            command="classify-pair",
             example="euler_pair",
             f1="(y1-x)/x^2",
             f2="(y2-2*x)/(2*x^2)",
@@ -239,7 +225,6 @@ _ENTRIES = [
             "theta(x) = theta0 - b (1/x - 1/x0)"
         ),
         config=RunConfig(
-            command="classify-pair",
             example="rotating",
             f1="(y1/10 - y2)/x^2",
             f2="(y2/10 + y1)/x^2",
@@ -262,7 +247,6 @@ _ENTRIES = [
         kind="pair",
         description="pure radial gap field (b=0): no turning, one-signed gap",
         config=RunConfig(
-            command="classify-pair",
             example="rotating_radial",
             f1="y1/(10*x^2)",
             f2="y2/(10*x^2)",
@@ -283,8 +267,7 @@ _ENTRIES = [
         name="qshort_catalog",
         kind="qshort",
         description="shortness/positivity verdicts for the catalog polynomials, q = 1",
-        config=RunConfig(command="qshort", example="qshort_catalog",
-                         poly="x; 2*x; -x; x+x^2", q=1),
+        config=RunConfig(example="qshort_catalog", poly="x; 2*x; -x; x+x^2", q=1),
         expected=(
             Fact("x", {"is_short": True, "is_positive": True}, LITERATURE),
             Fact("2*x", {"is_short": True, "is_positive": True}, LITERATURE),
@@ -296,7 +279,7 @@ _ENTRIES = [
         name="relations_parabola",
         kind="relations",
         description="algebraic control case (x, x^2): the kernel must contain y - x^2",
-        config=RunConfig(command="relations", example="relations_parabola",
+        config=RunConfig(example="relations_parabola",
                          curve="x, x^2", degree=2, jet=12, order=12),
         expected=(
             Fact("kernel_dimension", 1, TRIVIAL),
@@ -307,7 +290,7 @@ _ENTRIES = [
         name="relations_e_doubled",
         kind="relations",
         description="(x, E(x), E(2x)): degree-3 search, jet twice the monomial count",
-        config=RunConfig(command="relations", example="relations_e_doubled",
+        config=RunConfig(example="relations_e_doubled",
                          curve="x, E(x), E(2*x)", degree=3, jet=40, order=40),
         expected=(Fact("transcendence_evidence", True, DERIVED),),
     ),
@@ -315,7 +298,7 @@ _ENTRIES = [
         name="relations_e_alone",
         kind="relations",
         description="(x, E(x)): degree-4 search on a long jet",
-        config=RunConfig(command="relations", example="relations_e_alone",
+        config=RunConfig(example="relations_e_alone",
                          curve="x, E(x)", degree=4, jet=60, order=60),
         expected=(Fact("transcendence_evidence", True, DERIVED),),
     ),
@@ -327,7 +310,7 @@ _ENTRIES = [
             "this curve, so the polynomial search is reported descriptively, "
             "with no pass/fail reading"
         ),
-        config=RunConfig(command="relations", example="relations_mixed_tail",
+        config=RunConfig(example="relations_mixed_tail",
                          curve="x, E(x), E(x+x^2)", degree=3, jet=40, order=40),
         expected=(),
     ),
@@ -335,7 +318,7 @@ _ENTRIES = [
         name="cusp_tangents",
         kind="tangents",
         description="iterated tangents of the cusp-like curve (t, t^2, t^3)",
-        config=RunConfig(command="tangents", example="cusp_tangents",
+        config=RunConfig(example="cusp_tangents",
                          curve="t, t^2, t^3", steps=3, order=6),
         expected=(
             Fact("directions", [[1, 0, 0], [1, 1, 0], [1, 0, 1]], DERIVED),

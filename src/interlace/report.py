@@ -23,10 +23,8 @@ def timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def write_json(path, payload, stamp=True):
-    payload = dict(payload)
-    if stamp:
-        payload["generated_at"] = timestamp()
+def write_json(path, payload):
+    payload = {**payload, "generated_at": timestamp()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

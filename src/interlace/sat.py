@@ -83,7 +83,7 @@ def build_sat_curve(spec: SatCurveSpec):
     for p in spec.P:
         for t in tails:
             comps.append(_series.compose(t.truncated(order), p))
-    return FormalCurve(tuple(comps), +1)
+    return FormalCurve(tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,7 @@ class RelationBasis:
     def transcendence_evidence(self):
         return self.is_trivial and self.evidence_margin >= self.monomial_count
 
-    def to_json_dict(self, names=None):
-        if names is None:
-            names = [f"v{i}" for i in range(self._n_vars())]
+    def to_json_dict(self, names):
         return {
             "max_degree": self.max_degree,
             "jet_order": self.jet_order,
@@ -150,12 +148,6 @@ class RelationBasis:
             "relations_raw": [r.to_json_dict() for r in self.basis],
             "warnings": list(self.warnings),
         }
-
-    def _n_vars(self):
-        for r in self.basis:
-            for exps, _ in r.terms:
-                return len(exps)
-        return 0
 
 
 def monomial_exponents(n_vars, max_degree):

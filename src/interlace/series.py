@@ -315,12 +315,6 @@ class Poly:
                 return i
         raise AssertionError("unreachable: trailing zeros are stripped")
 
-    def eval(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def as_series(self, order, mode=EXACT, var=None):
         return TruncatedSeries.from_coeffs(
             self.coeffs, order, mode, var or self.var

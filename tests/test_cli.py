@@ -152,6 +152,43 @@ def test_negative_half_branch_flips_odd_directions(capsys):
     assert "(-1/1, 0/1, 0/1) -> (-1/1, -1/1, 0/1)" in out
 
 
+def test_registry_curve_honours_the_negative_half_branch(capsys):
+    # flat_tower's curve comes from a builder, not from curve text
+    assert run(["tangents", "--example", "flat_tower", "--steps", "1", "--branch", "-"]) == 0
+    assert capsys.readouterr().out == "tangents: (-1.0, -1.0, -2.718281828459045)\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_invariance_holds_on_either_half_branch(tmp_path, capsys, mode, branch):
+    # xi(C) = t C' on both half-branches; a flip rounded to 53 bits would
+    # leave a 1e-17 residual that the 128-bit float tolerance rejects
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"branch = {branch}\n")
+    code = run([
+        "invariance", "--field", "x", "y", "2*y^2", "--curve", "t, t/3, t^2/9",
+        "--mode", mode, "--precision", "128", "--order", "6", "--config", str(cfg),
+    ])
+    assert capsys.readouterr().out.startswith("invariance[inline]: invariant ")
+    assert code == 0
+
+
+def test_relation_kernel_is_the_same_on_either_half_branch(tmp_path):
+    reports = []
+    for branch in "+-":
+        cfg = tmp_path / f"{branch}.cfg"
+        out = tmp_path / f"out{branch}"
+        cfg.write_text(f"branch = {branch}\n")
+        code = run([
+            "relations", "--curve", "x, x^2+x^3, E(x)", "--deg", "3",
+            "--config", str(cfg), "--outdir", str(out),
+        ])
+        assert code == 1  # z1 = x^2 + x^3 on both half-branches
+        reports.append(strip_timestamps(load_json(out / "report.json")))
+    assert reports[0] == reports[1]
+    assert reports[0]["relations"] == ["-z1 + x^2 + x^3"]
+
+
 def test_float_only_curve_rejects_exact_mode_override(capsys):
     assert run(["invariance", "--example", "flat_tower", "--mode", "exact"]) == 2
     assert "float mode" in capsys.readouterr().err
@@ -166,7 +203,6 @@ def test_list_examples_covers_registry(capsys):
 
 def test_config_file_round_trip(tmp_path):
     cfg = RunConfig(
-        command="classify-pair",
         example="rotating",
         f1="(y1/10 - y2)/x^2",
         f2="(y2/10 + y1)/x^2",
@@ -191,7 +227,7 @@ def test_registry_configs_round_trip():
 
 def test_every_config_key_round_trips():
     values = dict(
-        command="relations", example="xi1", field_components=("x", "y^2", "z/x"),
+        example="xi1", field_components=("x", "y^2", "z/x"),
         f1="y1/x", f2="y2", curve="t,E(t),t^2", poly="x; x+x^2", mode="float",
         precision=96, order=12, steps=4, branch="-", degree=3, jet=40, q=2,
         x_start=0.9, x_end=0.02, y0=(1.0, -0.5), eps0=(1e-3, 0.0), rtol=1e-9,
@@ -255,6 +291,21 @@ def test_choice_keys_reject_unknown_values_from_file_and_flag(command, key, tmp_
         run([command, flag, "banana"])
     assert exc.value.code == 2
     assert f"argument {flag}: invalid choice: 'banana'" in capsys.readouterr().err
+
+
+def test_last_step_below_the_underflow_floor_completes_the_run(tmp_path, capsys):
+    assert run(["classify-pair", "--example", "rotating", "--eps0", "0,0"]) == 0
+    assert "verdict=ExactCoincidence" in capsys.readouterr().out
+    out = tmp_path / "integrate"
+    code = run([
+        "integrate", "--f1", "y1^2", "--f2", "y2/x", "--x-start", "1",
+        "--x-end", "0.01", "--y0", "1,1", "--outdir", str(out),
+    ])
+    assert code == 0
+    final = load_json(out / "report.json")["final"]
+    assert final["x"] == 0.01
+    # y1 = 1/(2 - x), y2 = x
+    assert final["y"] == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
 
 
 def test_config_file_outdir_writes_the_report(tmp_path, capsys):

@@ -22,7 +22,7 @@ from interlace.errors import (
     UnknownIdentifierError,
 )
 from interlace.integrate import Trajectory
-from interlace.series import EXACT, TruncatedSeries, euler_series
+from interlace.series import EXACT, TruncatedSeries, euler_series, float_mode
 
 
 def C(*component_coeff_lists, order=8, branch=+1):
@@ -30,7 +30,8 @@ def C(*component_coeff_lists, order=8, branch=+1):
         TruncatedSeries.from_coeffs(cs, order, EXACT, "t")
         for cs in component_coeff_lists
     )
-    return FormalCurve(comps, branch)
+    curve = FormalCurve(comps)
+    return curve.reparameterized(-1) if branch < 0 else curve
 
 
 # -- leading directions ------------------------------------------------------
@@ -71,6 +72,72 @@ def test_direction_invariant_under_positive_reparameterization(num, den):
     d1 = leading_direction(curve.reparameterized(lam))
     ratios = {F(a) / F(b) for a, b in zip(d1, d0) if b != 0}
     assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def _negated_odd_coefficients(components):
+    """Reference for t -> -t: odd coefficients negated one by one.
+
+    This is ``FormalCurve.effective_components`` on the negative half-branch
+    from before the half-branch became ``reparameterized(-1)``, verbatim.
+    """
+    return tuple(
+        TruncatedSeries(
+            tuple(c if i % 2 == 0 else -c for i, c in enumerate(s.coeffs)),
+            s.mode,
+            s.var,
+        )
+        for s in components
+    )
+
+
+_RATIONALS = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _curve_coefficients(draw):
+    """Two to four coefficient lists with a zero constant term, one nonzero."""
+    order = draw(st.integers(1, 9))
+    lists = draw(st.lists(
+        st.lists(_RATIONALS, min_size=order, max_size=order).map(lambda cs: [0, *cs]),
+        min_size=2, max_size=4,
+    ))
+    if all(c == 0 for cs in lists for c in cs):
+        lists[0][1] = F(1)
+    return order, lists
+
+
+@given(_curve_coefficients())
+@settings(max_examples=200, deadline=None)
+def test_negative_half_branch_matches_coefficient_negation_exactly(data):
+    order, lists = data
+    curve = FormalCurve(tuple(
+        TruncatedSeries.from_coeffs(cs, order, EXACT, "t") for cs in lists
+    ))
+    got = curve.reparameterized(-1).components
+    want = _negated_odd_coefficients(curve.components)
+    assert got == want
+    assert all(type(c) is F for s in got for c in s.coeffs)
+
+
+@given(_curve_coefficients(), st.sampled_from([64, 96, 128, 200]))
+@settings(max_examples=200, deadline=None)
+def test_negative_half_branch_keeps_big_float_precision(data, precision):
+    order, lists = data
+    mode = float_mode(precision)
+    curve = FormalCurve(tuple(
+        TruncatedSeries.from_coeffs(cs, order, mode, "t") for cs in lists
+    ))
+    got = curve.reparameterized(-1).components
+    with mode.context():
+        want = _negated_odd_coefficients(curve.components)
+    assert [[c._mpf_ for c in s.coeffs] for s in got] == [
+        [c._mpf_ for c in s.coeffs] for s in want
+    ]
+
+
+def test_reparameterization_factor_must_be_nonzero():
+    with pytest.raises(ValueError, match="nonzero"):
+        C([0, 1], [0, 0, 1]).reparameterized(0)
 
 
 # -- blow-up steps -------------------------------------------------------------

@@ -224,7 +224,8 @@ def test_ivp_validation():
 #
 # _reference_solve and _reference_dopri5 are the numpy implementation of
 # ``solve``'s right-hand-side wrapper and step loop, unchanged apart from
-# names and comments.  The scalar loop must reproduce them bit for bit.
+# names, comments and the rule that a remaining span below the underflow
+# floor ends the run.  The scalar loop must reproduce them bit for bit.
 
 
 def _reference_solve(ivp):
@@ -295,6 +296,8 @@ def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
         x_here = _to_x(t, logsub)
         h_floor = integrate.STEP_UNDERFLOW_FACTOR * (abs(x_here) if not logsub else 1.0)
         if abs(h) < h_floor:
+            if n_steps and abs(t1 - t) < h_floor:
+                break
             raise StiffnessError("step size underflow", last_x=x_here)
         if used % 64 == 0 and used > 256:
             if abs(h) * 8 * (max_steps - used) < abs(t1 - t):
@@ -357,8 +360,8 @@ def test_scalar_pair_loop_matches_numpy_reference_bit_for_bit(name, eps0):
     pair_ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + eps0,
                        atol_overrides=(None, None, 0.0, 0.0))
     ref = _reference_solve(pair_ivp)
-    _assert_same_trajectory(gamma, ref.slice([0, 1], meta={**ref.meta, "role": "solution"}))
-    _assert_same_trajectory(eps, ref.slice([2, 3], meta={**ref.meta, "role": "gap"}))
+    _assert_same_trajectory(gamma, ref.slice([0, 1]))
+    _assert_same_trajectory(eps, ref.slice([2, 3]))
 
 
 @pytest.mark.parametrize("log_substitution", [True, False, None])
@@ -375,12 +378,18 @@ def _failure(run, ivp):
 
 @pytest.mark.parametrize(
     "f1, x_start, x_end, y0, kwargs, expected",
+    # explicit ids keep each case's name when a case is added or removed
     [
-        ("y1/(x - 3/10)^2", 0.5, 0.2, (1.0, 1.0), {}, StiffnessError),
-        ("y1^2", 1.0, 0.01, (1.0, 1.0), {}, StiffnessError),
-        ("y1/x^3", 1.0, 0.001, (1.0, 1.0), {"max_steps": 20000}, StiffnessError),
-        ("(y1-x)/x^2", 0.5, 0.02, (1.0, 2.0), {"max_steps": 25}, MaxStepsError),
-        ("-y1/x^2", 1.0, 0.001, (1e300, 1.0), {}, BlowUpError),
+        pytest.param("y1/(x - 3/10)^2", 0.5, 0.2, (1.0, 1.0), {}, StiffnessError,
+                     id="y1/(x - 3/10)^2-0.5-0.2-y00-kwargs0-StiffnessError"),
+        pytest.param("y1/x^3", 1.0, 0.001, (1.0, 1.0), {"max_steps": 20000}, StiffnessError,
+                     id="y1/x^3-1.0-0.001-y02-kwargs2-StiffnessError"),
+        pytest.param("(y1-x)/x^2", 0.5, 0.02, (1.0, 2.0), {"max_steps": 25}, MaxStepsError,
+                     id="(y1-x)/x^2-0.5-0.02-y03-kwargs3-MaxStepsError"),
+        pytest.param("-y1/x^2", 1.0, 0.001, (1e300, 1.0), {}, BlowUpError,
+                     id="-y1/x^2-1.0-0.001-y04-kwargs4-BlowUpError"),
+        pytest.param("y1", 1.0, 0.999999999999999, (1.0, 1.0), {}, StiffnessError,
+                     id="whole-span-below-the-underflow-floor"),
     ],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy reference stages overflow
@@ -389,6 +398,15 @@ def test_scalar_loop_fails_like_numpy_reference(f1, x_start, x_end, y0, kwargs, 
     got = _failure(solve, ivp)
     assert got[0] is expected
     assert got == _failure(_reference_solve, ivp)
+
+
+def test_last_step_below_the_underflow_floor_ends_like_numpy_reference():
+    # the last accepted knot lands 2e-18 above x_end, under the 1e-16 floor
+    ivp = IVP(sys2("y1^2"), 1.0, 0.01, (1.0, 1.0))
+    traj = solve(ivp)
+    _assert_same_trajectory(traj, _reference_solve(ivp))
+    assert traj.xs[-1] == 0.01
+    assert traj.ys[-1] == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
 
 
 # -- the generated step kernel against the numpy reference -------------------
