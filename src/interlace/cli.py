@@ -99,7 +99,8 @@ class Command:
 COMMANDS = {
     "invariance": Command(
         "invariance", "series multiplier test for a field/curve pair",
-        ("field_components", "curve", "order", "mode", "precision"), _print_invariance,
+        ("field_components", "curve", "order", "mode", "precision", "branch"),
+        _print_invariance,
     ),
     "classify-pair": Command(
         "pair", "flat contact / winding / census verdict",
@@ -121,7 +122,7 @@ COMMANDS = {
     ),
     "relations": Command(
         "relations", "exact polynomial-relation search on a curve jet",
-        ("curve", "degree", "jet", "order"), _print_relations,
+        ("curve", "degree", "jet", "order", "branch"), _print_relations,
     ),
 }
 

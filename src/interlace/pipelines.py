@@ -89,6 +89,7 @@ def run_invariance(config, entry=None, outdir=None):
         "field": list(v.component_texts()),
         "order": order,
         "mode": config.mode,
+        "branch": config.branch,
         "invariant": rep.invariant,
         "checked_order": rep.checked_order,
         "pivot_index": rep.pivot_index,
@@ -277,6 +278,7 @@ def run_relations(config, entry=None, outdir=None):
         "command": "relations",
         "example": config.example,
         "curve": config.curve,
+        "branch": config.branch,
         **basis.to_json_dict(names),
     }
     return payload, (0 if basis.is_trivial else 1)

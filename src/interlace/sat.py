@@ -23,10 +23,26 @@ big-integer arithmetic.  The converse fails - a relation may exist, the jet
 may be too short, or p may divide every maximal minor by chance - so every
 other case, a denominator divisible by p included, runs the exact Fraction
 elimination, and the relations it returns are re-verified exactly.
+
+The certificate runs on packed integers (Kronecker substitution): a jet
+v_0..v_{n-1} of non-negative entries becomes the int sum v_i 2^(w i), so that
+one big-integer product or sum acts on every entry at once, as long as no entry
+outgrows its w-bit slot.  Widths are rounded up to whole bytes.
+
+* A product of residue jets (entries below p < 2^61) has entries that sum at
+  most n products below 2^122, so w = 2*61 + bit_length(n) bits leave no
+  carry crossing a slot; the low n slots, each reduced mod p, are the
+  truncated product.
+* Elimination keeps each echelon row packed, zero before its pivot and one at
+  it.  A column is reduced by adding (p - f) * row, with f read lazily as its
+  pivot slot mod p, and is reduced mod p once, when it is unpacked to find its
+  own pivot.  Each of at most m additions (m monomials) adds below p^2 to an
+  entry that starts below p, so the slots need the bit length of p + m p^2.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -241,7 +257,7 @@ def _independent_mod_p(comps, exps_list):
 
     False when they are not, or when _P divides a coefficient denominator (the
     reduction is then undefined); see the module docstring for why True proves
-    a trivial kernel over Q.
+    a trivial kernel over Q, and for the packed elimination.
     """
     residues = []
     for s in comps:
@@ -251,35 +267,42 @@ def _independent_mod_p(comps, exps_list):
             [c.numerator * pow(c.denominator, -1, _P) % _P for c in s.coeffs]
         )
     n = len(residues[0])
+    width = ((_P + len(exps_list) * _P * _P).bit_length() + 7) // 8
+    slot = (1 << (8 * width)) - 1
     memo = {(0,) * len(comps): [1] + [0] * (n - 1)}
-    echelon = {}  # pivot -> reduced jet: zero before the pivot, one at it
+    echelon = []  # (pivot, packed row: zero before the pivot, one at it), by pivot
     for exps in exps_list:
-        col = list(_monomial_jet(exps, residues, memo, _mul_mod_p))  # memo stays intact
-        for piv in sorted(echelon):
-            f = col[piv]
+        col = _pack(_monomial_jet(exps, residues, memo, _mul_mod_p), width)
+        for piv, row in echelon:
+            f = (col >> (8 * width * piv) & slot) % _P
             if f:
-                row = echelon[piv]
-                col[piv:] = [(a - f * b) % _P for a, b in zip(col[piv:], row[piv:])]
+                col += (_P - f) * row
+        col = [v % _P for v in _unpack(col, n, width)]
         piv = next((i for i, v in enumerate(col) if v), None)
         if piv is None:
             return False
         inv = pow(col[piv], -1, _P)
-        echelon[piv] = [v * inv % _P for v in col]
+        row = _pack([v * inv % _P for v in col], width)
+        bisect.insort(echelon, (piv, row))
     return True
 
 
 def _mul_mod_p(a, b):
     """Product of two residue jets of the same length, truncated to it."""
     n = len(a)
-    nonzero = [(j, v) for j, v in enumerate(b) if v]
-    out = [0] * n
-    for i, u in enumerate(a):
-        if u:
-            for j, v in nonzero:
-                if i + j >= n:
-                    break
-                out[i + j] += u * v
-    return [c % _P for c in out]
+    width = (2 * 61 + n.bit_length() + 7) // 8
+    return [v % _P for v in _unpack(_pack(a, width) * _pack(b, width), n, width)]
+
+
+def _pack(values, width):
+    """The int sum values[i] 2^(8 width i); each value must fit its slot."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(packed, n, width):
+    """The first n slots of a packed int."""
+    data = (packed & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, width * n, width)]
 
 
 def _exact_kernel(columns, n_rows):

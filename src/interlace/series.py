@@ -345,7 +345,14 @@ def derive(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def compose(s: TruncatedSeries, p) -> TruncatedSeries:
-    """s(p(x)) mod x^{N+1} by Horner over truncated arithmetic; needs val p >= 1."""
+    """s(p(x)) mod x^{N+1}, N the smaller order; needs val p >= 1.
+
+    A one-term inner series c x^k maps a_i to a_i c^i at x^{ik}, in O(N).  Its
+    float coefficients match Horner's rounding: each is a_i c ... c, multiplied
+    left to right.  Every other inner series runs Horner over truncated
+    arithmetic, acc -> acc p with coefficient 0 set to a_i; that coefficient of
+    acc p is zero because val p >= 1, so no series addition is needed.
+    """
     if isinstance(p, Poly):
         p = p.as_series(s.order, s.mode, s.var)
     s._check_mode(p)
@@ -355,9 +362,27 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
         raise CompositionAtUnitError("inner series must have zero constant term")
     n = min(s.order, p.order)
     p = p.truncated(n)
+    coerce = s.mode.coerce
+    terms = [(k, c) for k, c in enumerate(p.coeffs) if not _is_zero(c)]
+    if len(terms) == 1:
+        (k, c), = terms
+        out = [s.mode.zero()] * (n + 1)
+        with s.mode.context():
+            if s.mode.exact:
+                power = 1
+                for i in range(n // k + 1):
+                    out[i * k] = coerce(s.coeffs[i]) * power
+                    power *= c
+            else:
+                for i in range(n // k + 1):
+                    v = coerce(s.coeffs[i])
+                    for _ in range(i):
+                        v = v * c
+                    out[i * k] = v
+        return TruncatedSeries(tuple(out), s.mode, s.var)
     acc = TruncatedSeries.constant(s.coeffs[n], n, s.mode, s.var)
     for i in range(n - 1, -1, -1):
-        acc = acc * p + TruncatedSeries.constant(s.coeffs[i], n, s.mode, s.var)
+        acc = TruncatedSeries((coerce(s.coeffs[i]),) + (acc * p).coeffs[1:], s.mode, s.var)
     return acc
 
 

@@ -287,14 +287,26 @@ def test_criterion_08b_returned_relations_reverify():
             assert acc.is_zero()
 
 
-def test_criterion_08c_degree_six_relation_search():
-    with criterion(8, "relation search: degree-6 transcendence evidence"):
+def degree_evidence_within_a_minute(degree, jet, monomials):
+    with criterion(8, f"relation search: degree-{degree} transcendence evidence"):
         t0 = time.monotonic()
-        basis = relation_search(parse_curve("x, E(x), E(2*x)", 168), 6, 168)
+        basis = relation_search(parse_curve("x, E(x), E(2*x)", jet), degree, jet)
         assert basis.is_trivial
         assert basis.transcendence_evidence
-        assert basis.monomial_count == 84
+        assert basis.monomial_count == monomials
         assert time.monotonic() - t0 < 60
+
+
+def test_criterion_08c_degree_six_relation_search():
+    degree_evidence_within_a_minute(6, 168, 84)
+
+
+def test_criterion_08d_degree_seven_relation_search():
+    degree_evidence_within_a_minute(7, 240, 120)
+
+
+def test_criterion_08e_degree_eight_relation_search():
+    degree_evidence_within_a_minute(8, 330, 165)
 
 
 # -- 9: iterated tangents ------------------------------------------------------------------------

@@ -184,9 +184,24 @@ def test_relation_kernel_is_the_same_on_either_half_branch(tmp_path):
             "--config", str(cfg), "--outdir", str(out),
         ])
         assert code == 1  # z1 = x^2 + x^3 on both half-branches
-        reports.append(strip_timestamps(load_json(out / "report.json")))
+        report = strip_timestamps(load_json(out / "report.json"))
+        assert report.pop("branch") == branch
+        reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["relations"] == ["-z1 + x^2 + x^3"]
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_invariance_report_records_the_half_branch(tmp_path, capsys, branch):
+    out = tmp_path / "out"
+    code = run([
+        "invariance", "--example", "xi1", "--order", "12", "--branch", branch,
+        "--outdir", str(out),
+    ])
+    assert code == 0
+    report = load_json(out / "report.json")
+    assert report["branch"] == branch
+    assert report["multiplier"]["coeffs"][2] == branch.strip("+") + "2/1"  # h = ±2t^2
 
 
 def test_float_only_curve_rejects_exact_mode_override(capsys):
@@ -243,7 +258,7 @@ def test_every_config_key_round_trips():
 
 
 FLAGS = {
-    "invariance": ["--field", "--curve", "--order", "--mode", "--precision"],
+    "invariance": ["--field", "--curve", "--order", "--mode", "--precision", "--branch"],
     "classify-pair": [
         "--f1", "--f2", "--x-start", "--x-end", "--y0", "--eps0", "--probes",
         "--census", "--rtol", "--atol", "--turn-threshold", "--log-substitution",
@@ -254,7 +269,7 @@ FLAGS = {
     ],
     "tangents": ["--curve", "--steps", "--order", "--branch"],
     "qshort": ["--poly", "--q"],
-    "relations": ["--curve", "--deg", "--jet", "--order"],
+    "relations": ["--curve", "--deg", "--jet", "--order", "--branch"],
 }
 
 

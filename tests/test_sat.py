@@ -28,6 +28,8 @@ from interlace.series import (
     tail_T,
 )
 
+import _exact_reference
+
 
 def P(*coeffs):
     return Poly.from_coeffs(coeffs)
@@ -329,3 +331,89 @@ def test_exchange_identity_on_seeded_random_batch():
         if p.is_zero():
             p = Poly.from_coeffs([0, 1])
         assert verify_tail_identities(h, p, k=rng.randint(0, 5), order=12)
+
+
+# -- packed kernels against the loops they replaced ---------------------------------
+
+
+def random_residue_jet(rng, n, density):
+    """n residues mod p, each nonzero with probability ``density``; 1 in 4 is p - 1."""
+    return [
+        (sat._P - 1 if rng.random() < 0.25 else rng.randrange(1, sat._P))
+        if rng.random() < density else 0
+        for _ in range(n)
+    ]
+
+
+@given(st.integers(1, 400), st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_packed_product_mod_p_matches_schoolbook(n, density, rng):
+    a, b = random_residue_jet(rng, n, density), random_residue_jet(rng, n, 1.0)
+    assert sat._mul_mod_p(a, b) == _exact_reference._mul_mod_p(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 1000])
+def test_packed_product_mod_p_survives_the_largest_slot_sums(n):
+    # every product is (p-1)^2 and slot n-1 sums n of them; at n = 63 the sum
+    # nearly fills its 128-bit slot
+    top = [sat._P - 1] * n
+    assert sat._mul_mod_p(top, top) == _exact_reference._mul_mod_p(top, top)
+
+
+wide_fraction = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+
+
+@st.composite
+def residue_certificate_case(draw):
+    """Components of one order and a monomial list; half have a planted relation."""
+    jet = draw(st.integers(1, 30))
+    n_comps = draw(st.integers(1, 3))
+    comps = [
+        TruncatedSeries.from_coeffs(
+            draw(st.lists(st.one_of(st.just(F(0)), wide_fraction), min_size=1, max_size=jet + 1)),
+            jet,
+        )
+        for _ in range(n_comps)
+    ]
+    if draw(st.booleans()):  # plant a relation: the last component is a polynomial in the others
+        acc = TruncatedSeries.constant(draw(small_fraction), jet)
+        for s in comps:
+            acc = acc + s.scale(draw(small_fraction)) + (s * s).scale(draw(small_fraction))
+        comps.append(acc)
+    return comps, monomial_exponents(len(comps), draw(st.integers(1, 3)))
+
+
+@given(residue_certificate_case())
+@settings(max_examples=150, deadline=None)
+def test_packed_certificate_matches_list_elimination(case):
+    comps, exps_list = case
+    assert sat._independent_mod_p(comps, exps_list) == _exact_reference._independent_mod_p(
+        comps, exps_list
+    )
+
+
+@pytest.mark.parametrize(
+    "text, degree, jet",
+    [
+        ("x, 2305843009213693951*x^2", 1, 6),  # the second jet is 0 mod p
+        ("x, x^2 + x^3, E(x)", 3, 40),  # z1 = x^2 + x^3
+        ("x, E(x), E(2*x)", 5, 112),
+        ("x, E(x), E(2*x)", 5, 40),  # too short a jet for 56 monomials
+    ],
+)
+def test_packed_certificate_matches_list_elimination_on_curves(text, degree, jet):
+    comps = [c.truncated(jet) for c in parse_curve(text, jet).components]
+    exps_list = monomial_exponents(len(comps), degree)
+    want = _exact_reference._independent_mod_p(comps, exps_list)
+    assert sat._independent_mod_p(comps, exps_list) == want
+
+
+def test_packed_elimination_slots_hold_hundreds_of_row_additions():
+    # z^149 = s^149 (1 + s)^149 lies in the span of 1, s, ..., s^299, a proper
+    # subspace of the 340 slots: its column must reduce to exactly zero after
+    # about 300 row additions of up to p^2 to its late entries (about 75 p^2,
+    # more than 2^128)
+    rng = random.Random(9)
+    s = TruncatedSeries.from_coeffs([rng.randrange(1, 10**6) for _ in range(340)], 339)
+    exps_list = [(i, 0) for i in range(300)] + [(0, 149)]
+    assert not sat._independent_mod_p([s, s + s * s], exps_list)

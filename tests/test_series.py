@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from interlace.errors import (
     CompositionAtUnitError,
+    InterlaceError,
     ModeMismatchError,
     NonUnitDivisorError,
     NonzeroConstantTermError,
@@ -31,6 +33,8 @@ from interlace.series import (
     tail_T,
     truncate_J,
 )
+
+import _exact_reference
 
 
 def S(coeffs, order=None, mode=EXACT):
@@ -159,6 +163,82 @@ def test_compose_is_associative(s, p, r):
     rhs = compose(s, compose(p, r))
     n = min(lhs.order, rhs.order)
     assert lhs.truncated(n) == rhs.truncated(n)
+
+
+wide_fraction = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+sparse_wide = st.lists(st.one_of(st.just(F(0)), wide_fraction), min_size=1, max_size=31)
+monomial_factor = st.one_of(
+    st.sampled_from([F(1), F(-1), F(-2), F(2), F(-3, 7)]),
+    wide_fraction.filter(lambda c: c != 0),
+)
+
+
+@st.composite
+def inner_series_coeffs(draw):
+    """Inner coefficient lists with val >= 1: one, two or many terms, or a unit."""
+    kind = draw(st.sampled_from(["one", "one", "two", "many", "unit"]))
+    if kind == "one":
+        k = draw(st.integers(1, 7))
+        return [F(0)] * k + [draw(monomial_factor)]
+    if kind == "two":
+        k, j = sorted(draw(st.lists(st.integers(1, 40), min_size=2, max_size=2, unique=True)))
+        cs = [F(0)] * (j + 1)
+        cs[k], cs[j] = draw(monomial_factor), draw(monomial_factor)
+        return cs
+    if kind == "many":
+        return [F(0)] + draw(sparse_wide)
+    return [draw(monomial_factor)] + draw(sparse_wide)
+
+
+def stored_at(coeffs, order, mode, extra_bits):
+    """A float series whose coefficients carry ``extra_bits`` beyond its mode."""
+    with mpmath.workprec(mode.precision + extra_bits):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+    cs += [mpmath.mpf(0)] * (order + 1 - len(cs))
+    return TruncatedSeries(tuple(cs[: order + 1]), mode)
+
+
+def composed_or_error(fn, s, p):
+    try:
+        got = fn(s, p)
+    except InterlaceError as err:
+        return type(err), str(err)
+    if got.mode.exact:
+        assert all(type(c) is F for c in got.coeffs)
+        return got.coeffs, got.mode, got.var
+    return [c._mpf_ for c in got.coeffs], got.mode, got.var
+
+
+@given(
+    sparse_wide,
+    inner_series_coeffs(),
+    st.integers(0, 30),
+    st.integers(0, 45),
+    st.one_of(st.none(), st.integers(64, 200)),
+    st.sampled_from([0, 0, 40]),
+)
+@settings(max_examples=300, deadline=None)
+def test_compose_matches_horner_reference(outer, inner, s_order, p_order, precision, extra):
+    # the one-term map and the coefficient-0 Horner step against the Horner
+    # loop they replaced: equal Fractions, equal bits, or the same error
+    mode = EXACT if precision is None else float_mode(precision)
+    if mode.exact or not extra:
+        s, p = S(outer, s_order, mode), S(inner, p_order, mode)
+    else:
+        s, p = stored_at(outer, s_order, mode, extra), stored_at(inner, p_order, mode, extra)
+    want = composed_or_error(_exact_reference.compose, s, p)
+    assert composed_or_error(compose, s, p) == want
+
+
+@pytest.mark.parametrize("precision", [None, 64, 200])
+@pytest.mark.parametrize("c", [F(1), F(-1), F(-5, 3)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_compose_with_a_monomial_matches_horner_on_the_euler_series(precision, c, k):
+    mode = EXACT if precision is None else float_mode(precision)
+    s = euler_series(60, mode)
+    p = S([0] * k + [c], 60, mode)
+    want = composed_or_error(_exact_reference.compose, s, p)
+    assert composed_or_error(compose, s, p) == want
 
 
 # -- division -----------------------------------------------------------------
