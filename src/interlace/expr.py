@@ -23,7 +23,6 @@ generated names, never text from the tree.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -448,14 +447,8 @@ class _Codegen:
         unpack = "".join(f"_v{i}, " for i in range(len(self.names)))
         body = ([f"{unpack}= _a"] if unpack else []) + self.lines + [f"return {result}"]
         source = "def _compiled(_a):\n" + "".join(f"    {line}\n" for line in body)
-        exec(_compiled_source(source), self.globals)
+        exec(compile(source, "<compile_expr>", "exec"), self.globals)
         return self.globals.pop("_compiled")
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled_source(source):
-    """Code object of a generated source, compiled once however often it recurs."""
-    return compile(source, "<compile_expr>", "exec")
 
 
 # -- series substitution --------------------------------------------------

@@ -29,10 +29,10 @@ v_0..v_{n-1} of non-negative entries becomes the int sum v_i 2^(w i), so that
 one big-integer product or sum acts on every entry at once, as long as no entry
 outgrows its w-bit slot.  Widths are rounded up to whole bytes.
 
-* A product of residue jets (entries below p < 2^61) has entries that sum at
-  most n products below 2^122, so w = 2*61 + bit_length(n) bits leave no
-  carry crossing a slot; the low n slots, each reduced mod p, are the
-  truncated product.
+* A product of residue jets (entries below p) has entries that sum at most n
+  products below p^2 < 2^(2 bit_length(p)), so w = 2 bit_length(p) +
+  bit_length(n) bits leave no carry crossing a slot; the low n slots, each
+  reduced mod p, are the truncated product.
 * Elimination keeps each echelon row packed, zero before its pivot and one at
   it.  A column is reduced by adding (p - f) * row, with f read lazily as its
   pivot slot mod p, and is reduced mod p once, when it is unpacked to find its
@@ -290,7 +290,7 @@ def _independent_mod_p(comps, exps_list):
 def _mul_mod_p(a, b):
     """Product of two residue jets of the same length, truncated to it."""
     n = len(a)
-    width = (2 * 61 + n.bit_length() + 7) // 8
+    width = (2 * _P.bit_length() + n.bit_length() + 7) // 8
     return [v % _P for v in _unpack(_pack(a, width) * _pack(b, width), n, width)]
 
 

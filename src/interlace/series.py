@@ -347,11 +347,11 @@ def derive(s: TruncatedSeries) -> TruncatedSeries:
 def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     """s(p(x)) mod x^{N+1}, N the smaller order; needs val p >= 1.
 
-    A one-term inner series c x^k maps a_i to a_i c^i at x^{ik}, in O(N).  Its
-    float coefficients match Horner's rounding: each is a_i c ... c, multiplied
-    left to right.  Every other inner series runs Horner over truncated
-    arithmetic, acc -> acc p with coefficient 0 set to a_i; that coefficient of
-    acc p is zero because val p >= 1, so no series addition is needed.
+    In exact mode a one-term inner series c x^k maps a_i to a_i c^i at x^{ik},
+    in O(N).  Every other inner series, and every float one, runs Horner over
+    truncated arithmetic, acc -> acc p with coefficient 0 set to a_i; that
+    coefficient of acc p is zero because val p >= 1, so no series addition is
+    needed.
     """
     if isinstance(p, Poly):
         p = p.as_series(s.order, s.mode, s.var)
@@ -364,21 +364,13 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     p = p.truncated(n)
     coerce = s.mode.coerce
     terms = [(k, c) for k, c in enumerate(p.coeffs) if not _is_zero(c)]
-    if len(terms) == 1:
+    if s.mode.exact and len(terms) == 1:
         (k, c), = terms
         out = [s.mode.zero()] * (n + 1)
-        with s.mode.context():
-            if s.mode.exact:
-                power = 1
-                for i in range(n // k + 1):
-                    out[i * k] = coerce(s.coeffs[i]) * power
-                    power *= c
-            else:
-                for i in range(n // k + 1):
-                    v = coerce(s.coeffs[i])
-                    for _ in range(i):
-                        v = v * c
-                    out[i * k] = v
+        power = 1
+        for i in range(n // k + 1):
+            out[i * k] = coerce(s.coeffs[i]) * power
+            power *= c
         return TruncatedSeries(tuple(out), s.mode, s.var)
     acc = TruncatedSeries.constant(s.coeffs[n], n, s.mode, s.var)
     for i in range(n - 1, -1, -1):

@@ -230,16 +230,6 @@ def test_variable_names_never_reach_the_source(name):
     assert err.value.subexpr_text == to_text(tree)
 
 
-def test_equal_sources_share_one_code_object_and_keep_their_constants():
-    tree = parse_expr("x/3 + y^2", XYZ)
-    as_float = compile_expr(tree, XYZ)
-    as_fraction = compile_expr(tree, XYZ, F)
-    assert as_float.__code__ is as_fraction.__code__
-    assert as_float((1.5, 2.0, 0.0)) == 4.5
-    assert as_fraction((F(1), F(2), F(0))) == F(13, 3)
-    assert type(as_fraction((F(1), F(2), F(0)))) is F
-
-
 def test_compiled_zero_divisor_names_subexpression_and_point():
     f = compile_expr(parse_expr("x + y/(z - 1)", XYZ), XYZ)
     with pytest.raises(EvaluationSingularityError) as err:
