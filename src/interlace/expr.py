@@ -15,7 +15,7 @@ Precedence is the standard one: ^  >  unary -  >  * /  >  + -.  A literal
 other structure is kept verbatim so that parse -> print -> parse is stable.
 
 ``compile_expr`` is the one evaluator of these trees, over four algebras:
-float, Fraction, ``RationalFunction`` and ``TruncatedSeries``.  It emits a
+float, Fraction, ``series.Poly`` and ``TruncatedSeries``.  It emits a
 tree, or a tuple of trees, as straight-line Python source with one temporary
 per distinct sub-expression and compiles it once; the source holds only
 generated names, never text from the tree.
@@ -23,6 +23,7 @@ generated names, never text from the tree.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -323,10 +324,10 @@ def compile_expr(node, names, const=float, calls=None):
     the tuple of their values, sharing what they have in common.
 
     Arithmetic uses the values' own operators: float, mpf, Fraction,
-    ``polynomial.RationalFunction`` or ``series.TruncatedSeries``.  ``const``
-    maps literals into that algebra; ``calls`` maps ``E``/``exp`` to functions,
-    and without it a call is rejected.  A zero divisor raises
-    EvaluationSingularityError naming the sub-expression and the point; a
+    ``series.Poly`` or ``series.TruncatedSeries``.  ``const`` maps literals
+    into that algebra; ``calls`` maps ``E``/``exp`` to functions, and without
+    it a call is rejected.  A zero divisor raises EvaluationSingularityError
+    naming the sub-expression, and the point when its values are numbers; a
     series divisor without constant term raises NonUnitDenominatorError.
 
     Only generated names reach the source (``_v0`` for the first entry of
@@ -359,7 +360,9 @@ class _Codegen:
         # the globals must not refer back to self or the function: a cycle
         # would keep every compiled function alive until a full collection
         def singular(i, point):
-            return EvaluationSingularityError(to_text(subexprs[i]), dict(zip(names, point)))
+            numeric = all(isinstance(v, numbers.Number) for v in point)
+            env = dict(zip(names, point)) if numeric else None
+            return EvaluationSingularityError(to_text(subexprs[i]), env)
 
         def non_unit(i):
             den = to_text(subexprs[i])

@@ -4,15 +4,16 @@ Provides substitution of formal curves into field components, the formal
 invariance test  xi o C = h * C'  with series multiplier h, reduction to the
 planar nonautonomous system in the x-chart (f1 = xi_y/xi_x, f2 = xi_z/xi_x
 with y, z renamed y1, y2), and the associated difference system in
-(x, y1, y2, z1, z2) whose z-part tracks the gap between two solutions as
-exact difference quotients, free of cancellation at the solution's scale.
+(x, y1, y2, z1, z2) whose z-part tracks the gap between two solutions by
+divided differences, free of cancellation at the solution's scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, reduce
 
 from . import expr as _expr
 from . import series as _series
@@ -23,7 +24,6 @@ from .errors import (
     NonUnitDivisorError,
     OrderExceededError,
 )
-from .polynomial import RationalFunction
 
 FIELD_VARS = ("x", "y", "z")
 REDUCED_VARS = ("x", "y1", "y2")
@@ -98,9 +98,9 @@ class DifferenceSystem:
     """The four-equation system for (y, z) = (one solution, gap to another).
 
     f3 and f4 equal f_i(x, y+z) - f_i(x, y), built by ``difference_system``
-    as exact difference quotients in which every numerator term carries z1
-    or z2.  They keep the gap's relative accuracy at any gap size, down to
-    the float range, in plain float64.
+    as divided differences in which every term carries z1 or z2.  They keep
+    the gap's relative accuracy at any gap size, down to the float range, in
+    plain float64.
     """
 
     f1: object
@@ -136,21 +136,91 @@ def chart_reduce(v: VectorField3) -> ReducedSystem:
 
 
 def difference_system(r: ReducedSystem) -> DifferenceSystem:
-    """Append z1' = f1(x, y+z) - f1(x, y) and likewise z2', exact at any z.
+    """Append z1' = f1(x, y+z) - f1(x, y) and likewise z2', by divided differences.
 
-    With f = P/Q over Q[x, y1, y2], the difference is
-    [P(y+z)Q(y) - P(y)Q(y+z)] / [Q(y+z)Q(y)], or [P(y+z) - P(y)]/Q when Q
-    does not involve y.  The numerator is expanded exactly, so each of its
-    terms carries a factor z1 or z2 and it vanishes identically at z = 0.
+    ``_delta`` builds each gap on the tree itself: every term carries a
+    factor z1 or z2, so the gap vanishes identically at z = 0, and nothing is
+    expanded, so no two terms cancel in (x, y).
     """
-    x, y1, y2, z1, z2 = RationalFunction.variables(5)
-    const = RationalFunction.constant_maker(5)
-    gaps = []
-    for f in (r.f1, r.f2):
-        fn = _expr.compile_expr(f, REDUCED_VARS, const)
-        gap = fn((x, y1 + z1, y2 + z2)) - fn((x, y1, y2))
-        gaps.append(gap.to_expr(DIFFERENCE_VARS))
+    gaps = [_delta(f)[0] or _expr.Num(Fraction(0)) for f in (r.f1, r.f2)]
     return DifferenceSystem(r.f1, r.f2, *gaps, provenance=r.provenance)
+
+
+_GAPS = {"y1": _expr.Var("z1"), "y2": _expr.Var("z2")}
+
+
+def _delta(node):
+    """(node(y+z) - node(y), node(y+z)); the difference is None where no y occurs.
+
+    Divided-difference arithmetic (Reps & Rall, HOSC 16, 2003):
+    Δ(ab) = Δa b(y+z) + a Δb, Δ(a/b) = (Δa b - a Δb)/(b b(y+z)), and Δ(a^n)
+    is Δa times the geometric sum of a(y+z)^k a^(n-1-k).  A nonzero literal
+    divisor c gives 1/c Δa, which rounds as the expanded quotient did.
+    """
+    if isinstance(node, _expr.Var) and node.name in _GAPS:
+        gap = _GAPS[node.name]
+        return gap, _expr.BinOp("+", node, gap)
+    if isinstance(node, (_expr.Num, _expr.Var)):
+        return None, node
+    if isinstance(node, _expr.Neg):
+        da, a1 = _delta(node.arg)
+        return (None, node) if da is None else (_expr.Neg(da), _expr.Neg(a1))
+    if isinstance(node, _expr.Pow):
+        return _delta_pow(node)
+    if not isinstance(node, _expr.BinOp):
+        raise TypeError(f"not a field expression node: {node!r}")
+    op, a, b = node.op, node.lhs, node.rhs
+    (da, a1), (db, b1) = _delta(a), _delta(b)
+    if da is None and db is None:
+        return None, node
+    shifted = _expr.BinOp(op, a1, b1)
+    if op in "+-":
+        if db is None:
+            return da, shifted
+        if da is None:
+            return (db if op == "+" else _expr.Neg(db)), shifted
+        return _expr.BinOp(op, da, db), shifted
+    if op == "*":
+        return _add(_mul(da, b1), _mul(a, db)), shifted
+    if db is None:
+        if isinstance(b, _expr.Num) and b.value != 0:
+            return _expr.BinOp("*", _expr.Num(1 / b.value), da), shifted
+        return _expr.BinOp("/", da, b), shifted
+    if da is None:
+        num = _expr.Neg(_expr.BinOp("*", a, db))
+    else:
+        num = _expr.BinOp("-", _expr.BinOp("*", da, b), _expr.BinOp("*", a, db))
+    return _expr.BinOp("/", num, _expr.BinOp("*", b, b1)), shifted
+
+
+def _delta_pow(node):
+    n, m = node.exponent, abs(node.exponent)
+    da, a1 = _delta(node.base)
+    if da is None or n == 0:
+        return None, node
+    if m > 1:  # a^m(y+z) - a^m = Δa times the sum of a(y+z)^k a^(m-1-k)
+        terms = []
+        for k in range(m):
+            pair = [(a1, k), (node.base, m - 1 - k)]
+            factors = [f if e == 1 else _expr.Pow(f, e) for f, e in pair if e]
+            terms.append(factors[0] if len(factors) == 1 else _expr.BinOp("*", *factors))
+        da = _expr.BinOp("*", da, reduce(_add, terms))
+    if n < 0:  # a^n = 1/a^m
+        den = _expr.BinOp("*", _expr.Pow(node.base, m), _expr.Pow(a1, m))
+        da = _expr.BinOp("/", _expr.Neg(da), den)
+    return da, _expr.Pow(a1, n)
+
+
+def _add(a, b):
+    """a + b, where None stands for zero."""
+    if a is None:
+        return b
+    return a if b is None else _expr.BinOp("+", a, b)
+
+
+def _mul(a, b):
+    """a * b, where None stands for zero."""
+    return None if a is None or b is None else _expr.BinOp("*", a, b)
 
 
 @dataclass(frozen=True)

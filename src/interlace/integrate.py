@@ -19,7 +19,7 @@ replaced (kept as a reference in the tests) bit for bit.
 between two nearby solutions is a state variable of its own: its relative
 accuracy is set by the tolerance (the gap components get a zero absolute
 floor), never by cancellation between two large trajectories.  The gap's
-right-hand side is an exact difference quotient evaluated in float64
+right-hand side is a divided difference evaluated in float64
 (``field.difference_system``), so this holds for gaps of any size.
 """
 

@@ -24,7 +24,6 @@ from .curve import _split_components, iterated_tangents, parse_curve
 from .expr import compile_expr, parse_expr, to_text, variables_of
 from .field import ReducedSystem, VectorField3, invariance_check
 from .integrate import IVP, Trajectory, solve, solve_pair
-from .polynomial import RationalFunction
 from .registry import ENTRIES, RegistryEntry, get as get_entry
 from .series import EXACT, Poly, float_mode, q_short_check
 
@@ -234,13 +233,11 @@ def expr_to_poly(text, var=None) -> Poly:
     if len(names) > 1:
         raise ValueError(f"polynomial must use one variable, found {names}")
     name = var or (names[0] if names else "x")
-    to_rational = compile_expr(tree, names, RationalFunction.constant_maker(1))
-    value = to_rational(RationalFunction.variables(1)[: len(names)])
-    if value.den.constant_value() != 1:
-        raise ValueError(f"not a polynomial: {text!r}")
-    return Poly.from_coeffs(
-        [value.num.terms.get((k,), 0) for k in range(value.num.degree_in(0) + 1)], name
-    )
+    to_poly = compile_expr(tree, names, lambda q: Poly.from_coeffs([q], name))
+    try:
+        return to_poly((Poly.from_coeffs([0, 1], name),)[: len(names)])
+    except ValueError:
+        raise ValueError(f"not a polynomial: {text!r}") from None
 
 
 def run_qshort(config, entry=None, outdir=None):

@@ -328,6 +328,45 @@ class Poly:
             raise NonUnitDivisorError(f"polynomial valuation {self.val()} < {k}")
         return Poly(self.coeffs[k:], self.var)
 
+    # ring operations, for ``compile_expr`` over polynomials; a quotient that
+    # is not a polynomial raises ValueError
+
+    def __eq__(self, other):
+        if isinstance(other, int):  # the zero test of compile_expr's divisor guard
+            return self.coeffs == Poly.from_coeffs([other]).coeffs
+        return isinstance(other, Poly) and (self.coeffs, self.var) == (other.coeffs, other.var)
+
+    def __neg__(self):
+        return Poly(tuple(-c for c in self.coeffs), self.var)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a, b = (p.coeffs + (0,) * (n - len(p.coeffs)) for p in (self, other))
+        return Poly.from_coeffs([u + v for u, v in zip(a, b)], self.var)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly.from_coeffs(out, self.var)
+
+    def __truediv__(self, other):
+        if other.degree != 0:
+            raise ValueError("division by a non-constant polynomial")
+        return Poly(tuple(c / other.coeffs[0] for c in self.coeffs), self.var)
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = Poly.from_coeffs([1], self.var)
+        for _ in range(n):
+            result = result * self
+        return result
+
     def __str__(self):
         return terms_text([(i, str(c)) for i, c in enumerate(self.coeffs) if c != 0], self.var)
 

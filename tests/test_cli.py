@@ -74,6 +74,21 @@ def test_qshort_catalog_verdicts(capsys):
     assert run(["qshort", "--poly=-x", "--q", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "poly, message",
+    [
+        ("(x^2-1)/(x-1)", "not a polynomial: '(x^2-1)/(x-1)'"),
+        ("x^-1", "not a polynomial: 'x^-1'"),
+        ("x - x", "the zero polynomial has no valuation"),
+        ("x*t", "polynomial must use one variable, found ['t', 'x']"),
+        ("x/(x-x)", "division by zero in 'x/(x - x)'"),
+    ],
+)
+def test_qshort_rejects_what_is_not_a_nonzero_polynomial(poly, message, capsys):
+    assert run(["qshort", "--poly", poly, "--q", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_tangents_direction_listing(capsys):
     assert run(["tangents", "--curve", "t,t^2,t^3", "--steps", "3"]) == 0
     out = capsys.readouterr().out
@@ -351,6 +366,16 @@ def test_non_finite_or_misshapen_numeric_inputs_are_usage_errors(argv, message, 
     assert run([*argv, "--example", example]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("f1", ["y1/0", "y1/(1-1)", "y1/(y2-y2)"])
+@pytest.mark.parametrize("command", ["classify-pair", "integrate"])
+def test_identically_zero_denominators_are_numerical_failures(command, f1, capsys):
+    argv = [command, "--f1", f1, "--f2", "y2", "--x-start", "0.5", "--x-end", "0.2"]
+    assert run([*argv, "--y0", "1,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: division by zero")
     assert "Traceback" not in err
 
 

@@ -5,20 +5,32 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from interlace.curve import parse_curve
-from interlace.errors import NonAdaptedChartError
-from interlace.expr import BinOp, Var, evaluate_mp, parse_expr, rename_vars, to_text
+from interlace.errors import EvaluationSingularityError, NonAdaptedChartError
+from interlace.expr import (
+    BinOp,
+    Var,
+    compile_expr,
+    evaluate_mp,
+    parse_expr,
+    rename_vars,
+    to_text,
+)
 from interlace.field import (
+    DIFFERENCE_VARS,
     ReducedSystem,
     VectorField3,
     chart_reduce,
     difference_system,
     invariance_check,
 )
+from interlace.integrate import IVP, solve_pair
 from interlace.series import TruncatedSeries, float_mode
 
 from _expr_reference import evaluate
+from test_expr import XYZ, _expr_strategy
 
 XI1 = VectorField3.from_text("xi1", "2*x^2", "2*(y-x)", "z-2*x")
 RADIAL = VectorField3.from_text("radial", "x", "y", "z")
@@ -153,6 +165,8 @@ def test_difference_matches_tree_subtraction_pointwise():
         assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+SHIFTED = {"y1": BinOp("+", Var("y1"), Var("z1")), "y2": BinOp("+", Var("y2"), Var("z2"))}
+
 GAP_SYSTEMS = [
     ("(y1-x)/x^2", "(y2-2*x)/(2*x^2)"),
     ("(y1/10 - y2)/x^2", "(y2/10 + y1)/x^2"),
@@ -164,24 +178,76 @@ GAP_SYSTEMS = [
 @pytest.mark.parametrize("f1, f2", GAP_SYSTEMS)
 def test_exact_gap_matches_bigfloat_literal_difference(f1, f2):
     # the literal difference f(y+z) - f(y) at 400 bits keeps 40+ digits for
-    # gaps down to 1e-80.  The float64 quotient's error is set by how the
-    # expanded numerator cancels in (x, y), not by the gap size: the cubic
-    # (y1 - y2)^3 is worst here, 1.9e-10 at y1 - y2 = 3e-3
+    # gaps down to 1e-80.  The float64 gap is a divided difference, so its
+    # error does not grow where y1 and y2 nearly agree: each system is also
+    # checked at |y1 - y2| <= 3e-3, where the cubic (y1 - y2)^3 is hardest
     r = ReducedSystem.from_text(f1, f2)
     d = difference_system(r)
-    shifted = {"y1": BinOp("+", Var("y1"), Var("z1")), "y2": BinOp("+", Var("y2"), Var("z2"))}
-    literal = [BinOp("-", rename_vars(f, shifted), f) for f in (r.f1, r.f2)]
+    literal = [BinOp("-", rename_vars(f, SHIFTED), f) for f in (r.f1, r.f2)]
     rng = random.Random(5)
-    for _ in range(60):
-        x = rng.uniform(0.05, 1.0)
-        y1, y2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        scale = 10.0 ** -rng.randint(1, 80)
-        z1, z2 = (rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) * scale for _ in range(2))
-        got = d.rhs(x, (y1, y2, z1, z2))[2:]
-        env = {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
-        for g, tree in zip(got, literal):
-            want = float(evaluate_mp(tree, env, prec=400))
-            assert g == pytest.approx(want, rel=1e-9, abs=0.0)
+    for near in (False, True):
+        for _ in range(60):
+            x = rng.uniform(0.05, 1.0)
+            y1, y2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            if near:
+                y2 = y1 + (y2 - 1.25) * 4e-3  # |y1 - y2| <= 3e-3
+            scale = 10.0 ** -rng.randint(1, 80)
+            z1, z2 = (rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) * scale for _ in range(2))
+            got = d.rhs(x, (y1, y2, z1, z2))[2:]
+            env = {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
+            for g, tree in zip(got, literal):
+                want = float(evaluate_mp(tree, env, prec=400))
+                assert g == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+_DYADIC = st.builds(F, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8]))
+
+
+@given(
+    _expr_strategy(),
+    st.tuples(_DYADIC, _DYADIC, _DYADIC),
+    st.tuples(_DYADIC, _DYADIC),
+    st.integers(0, 64),
+)
+@example(parse_expr("(y - z)^3/(x*y)", XYZ), (F(1, 2), F(1), F(1)), (F(1), F(-1)), 40)
+@example(parse_expr("x/(y - z)^-2 + 3/z", XYZ), (F(1), F(2), F(1, 4)), (F(1, 2), F(0)), 5)
+@settings(max_examples=200, deadline=None)
+def test_gap_of_any_tree_is_the_literal_difference(tree, point, gaps, bits):
+    # dyadic points are exact floats: the gap tree equals the literal
+    # difference f(y+z) - f(y) exactly over Fraction, and at 400 bits
+    f = rename_vars(tree, {"y": "y1", "z": "y2"})
+    gap = difference_system(ReducedSystem(f, f)).f3
+    literal = BinOp("-", rename_vars(f, SHIFTED), f)
+    values = point + tuple(g / 2**bits for g in gaps)
+    try:
+        want, got = compile_expr((literal, gap), DIFFERENCE_VARS, F)(values)
+    except EvaluationSingularityError:
+        assume(False)
+    assert got == want
+    env = {n: float(v) for n, v in zip(DIFFERENCE_VARS, values)}
+    got_mp, want_mp, f_mp, f_shifted_mp = (
+        evaluate_mp(t, env, prec=400) for t in (gap, literal, f, rename_vars(f, SHIFTED))
+    )
+    scale = max(abs(f_mp), abs(f_shifted_mp))
+    assert abs(got_mp - want_mp) <= 1e-30 * max(abs(want_mp), scale)
+
+
+def test_nonlinear_pair_matches_the_closed_form_gap():
+    # y' = y^2/x^2 is solved by y = x/(1 + a x); two solutions with
+    # y(1) = y0 and y0 + g differ by x^2 (a - b)/((1 + a x)(1 + b x)), where
+    # a - b = g/(y0 (y0 + g)) needs no subtraction
+    system = ReducedSystem.from_text("y1^2/x^2", "y2^2/x^2")
+    y0 = 0.5
+
+    def closed_form(x, g):
+        a, b = 1 / y0 - 1, 1 / (y0 + g) - 1
+        return x * x * g / (y0 * (y0 + g) * (1 + a * x) * (1 + b * x))
+
+    for g in (1e-3, 1e-20, 1e-80, 1e-200):
+        _, eps = solve_pair(IVP(system, 1.0, 0.01, (y0, y0)), (g, -g / 2))
+        for x, (e1, e2) in zip(eps.xs, eps.ys):
+            assert e1 == pytest.approx(closed_form(x, g), rel=1e-8, abs=0.0)
+            assert e2 == pytest.approx(closed_form(x, -g / 2), rel=1e-8, abs=0.0)
 
 
 def test_difference_system_small_gap_is_cancellation_free():

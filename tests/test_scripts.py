@@ -31,3 +31,36 @@ def test_transcendence_scan_finds_evidence_on_every_case():
     rows = run_script("transcendence_scan.py")
     assert len(rows) == 4
     assert all(row.endswith(": evidence") for row in rows)
+
+
+def _suite_tree(root, stamp, csv="x,y\n1,2\n"):
+    (root / "pair").mkdir(parents=True)
+    report = f'{{"generated_at": "{stamp}", "verdict": "Hardy"}}\n'
+    (root / "pair" / "report.json").write_text(report)
+    (root / "summary.json").write_text(f'{{"all_ok": true, "generated_at": "{stamp}"}}\n')
+    (root / "pair" / "trajectory.csv").write_text(csv)
+    return root
+
+
+def compare_suite(old, new):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_suite.py"), str(old), str(new)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_compare_suite_ignores_only_the_timestamps(tmp_path):
+    old = _suite_tree(tmp_path / "old", "2020-01-01")
+    new = _suite_tree(tmp_path / "new", "2021-06-30")
+    proc = compare_suite(old, new)
+    assert (proc.returncode, proc.stdout) == (0, "identical\n")
+
+    (new / "pair" / "trajectory.csv").write_text("x,y\n1,2.0\n")
+    (new / "pair" / "report.json").write_text('{"generated_at": "x", "verdict": "Interlaced"}\n')
+    (old / "stdout.txt").write_text("suite: all facts verified\n")
+    proc = compare_suite(old, new)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "pair/report.json", "pair/trajectory.csv", "stdout.txt", "3 paths differ",
+    ]

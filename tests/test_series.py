@@ -34,6 +34,9 @@ from interlace.series import (
     truncate_J,
 )
 
+from interlace.expr import BinOp, Neg, Num, Pow, Var, compile_expr, to_text
+from interlace.pipelines import expr_to_poly
+
 import _exact_reference
 
 
@@ -434,6 +437,35 @@ def test_zero_polynomial_has_no_valuation():
 def test_constant_term_disqualifies_shortness():
     rep = q_short_check(Poly.from_coeffs([1, 1]), 1)
     assert not rep.is_short
+
+
+def _polynomial_tree():
+    """Trees in x that are polynomials: no division except by a nonzero literal."""
+    rational = st.builds(F, st.integers(0, 9), st.integers(1, 9))  # as the parser builds them
+    nonzero = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+    atoms = st.one_of(st.builds(Num, rational), st.just(Var("x")))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Pow, children, st.integers(0, 3)),
+            st.tuples(st.sampled_from("+-*"), children, children).map(lambda t: BinOp(*t)),
+            st.builds(lambda a, c: BinOp("/", a, Num(c)), children, nonzero),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=10)
+
+
+_POINTS = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)), min_size=1, max_size=4)
+
+
+@given(_polynomial_tree(), _POINTS)
+@settings(max_examples=200, deadline=None)
+def test_poly_coefficients_agree_with_exact_evaluation(tree, points):
+    p = expr_to_poly(to_text(tree))
+    exact = compile_expr(tree, ("x",), F)
+    for q in points:
+        assert sum(c * q**i for i, c in enumerate(p.coeffs)) == exact((q,))
 
 
 # -- valuation & misc ---------------------------------------------------------------------
