@@ -104,9 +104,8 @@ def winding(eps, max_increment=math.pi / 2, max_refinement=48) -> WindingResult:
     dense output) until every recorded increment is below ``max_increment``.
     The gap must not vanish at any sample.
     """
-    xs = list(map(float, eps.xs))
-    values = [eps.ys[i] for i in range(len(xs))]
-    raw = [_angle_of(v, x) for v, x in zip(values, xs)]
+    xs = list(eps.xs)
+    raw = [_angle_of(v, x) for v, x in zip(zip(*eps.cols), xs)]
 
     # refine intervals whose raw angle jump is too coarse
     i = 0
@@ -119,9 +118,7 @@ def winding(eps, max_increment=math.pi / 2, max_refinement=48) -> WindingResult:
                     "the gap curve may pass through the origin"
                 )
             mid = 0.5 * (xs[i] + xs[i + 1])
-            v = eps(mid)
-            raw.insert(i + 1, _angle_of(v, mid))
-            values.insert(i + 1, v)
+            raw.insert(i + 1, _angle_of(eps(mid), mid))
             xs.insert(i + 1, mid)
             depth += 1
         i += 1
@@ -176,17 +173,15 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
     window is reported as a lower-bound exponent diagnostic (a power-law
     floor candidate).
     """
-    if not np.array_equal(gamma.xs, eps.xs):
+    if gamma.xs != eps.xs:
         raise ValueError("the census needs gamma and eps on one grid")
-    xs = np.asarray(gamma.xs, dtype=float)
-    mask = np.ones(len(xs), dtype=bool)
+    rows = list(zip(gamma.xs, *gamma.cols, *eps.cols))
     if window is not None:
         lo, hi = window
-        mask = (xs >= lo) & (xs <= hi)
-    xs = xs[mask]
-    if len(xs) < 2:
+        rows = [row for row in rows if lo <= row[0] <= hi]
+    if len(rows) < 2:
         raise ValueError("census window holds fewer than two samples")
-    rows = np.column_stack([xs, gamma.ys[mask], eps.ys[mask]]).tolist()
+    xs = [row[0] for row in rows]
 
     entries = []
     for e in exprs:
@@ -222,9 +217,7 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
 
 
 def _dense_value(f, gamma, eps, x):
-    g = gamma(x)
-    z = eps(x)
-    return f((float(x), float(g[0]), float(g[1]), float(z[0]), float(z[1])))
+    return f((x, *gamma(x), *eps(x)))
 
 
 def _sign(v):

@@ -224,8 +224,8 @@ def _prec(node):
         return 2  # prints like a -1 * factor
     if isinstance(node, Pow):
         return 3
-    if isinstance(node, Num) and node.value.denominator != 1:
-        return 2  # prints as p/q
+    if isinstance(node, Num) and (node.value.denominator != 1 or node.value < 0):
+        return 2  # prints as p/q or with a leading minus, like Neg
     return 4
 
 

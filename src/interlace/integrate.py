@@ -7,7 +7,10 @@ side is integrated in s = log x by default (steps then measure the approach
 rate to 0), a heuristic exposed as a flag.
 
 The step loop runs on plain Python floats, since the state has only 2 or 4
-components; numpy builds the trajectory arrays at the end.  One step (seven
+components; at the end ``solve`` transposes its rows into one float column
+per component, and dense output reads those columns one scalar x at a time
+(numpy remains only for ``exp`` of log-substituted knots and the initial
+step size, whose roundings the tests pin bit for bit).  One step (seven
 right-hand-side stages, the 5th- and 4th-order solutions and the error norm)
 is Python source unrolled over the components, generated once per dimension
 and log substitution (``_kernel``); it calls the system's ``rhs`` for every
@@ -25,8 +28,12 @@ right-hand side is a divided difference evaluated in float64
 
 from __future__ import annotations
 
+import bisect
+import copy
 import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,65 +103,74 @@ class IVP:
 class Trajectory:
     """Dense solution on a strictly decreasing grid.
 
-    Stores values and derivatives at the accepted steps; evaluation between
-    knots is cubic Hermite, which reproduces the knot values and derivatives
-    exactly.
+    ``xs`` is one ``array('d')`` of knots; ``cols`` and ``dcols`` hold one
+    ``array('d')`` per component, the values and the x-derivatives at the
+    knots.  ``slice`` shares those arrays.  Evaluation between knots is cubic
+    Hermite, which reproduces the knot values and derivatives exactly.
     """
 
-    def __init__(self, xs, ys, dys, meta=None):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.dys = np.asarray(dys, dtype=float)
-        if self.xs.ndim != 1 or len(self.xs) < 2:
+    def __init__(self, xs, cols, dcols, meta=None):
+        self.xs = _floats(xs)
+        self.cols = tuple(map(_floats, cols))
+        self.dcols = tuple(map(_floats, dcols))
+        if len(self.cols) != len(self.dcols):
+            raise ValueError(f"{len(self.cols)} value columns but {len(self.dcols)} derivative columns")
+        if any(len(c) != len(self.xs) for c in self.cols + self.dcols):
+            raise ValueError(f"every column needs one value per knot ({len(self.xs)})")
+        if len(self.xs) < 2:
             raise ValueError("trajectory needs at least two grid points")
-        if not np.all(np.diff(self.xs) < 0):
+        if not all(map(operator.gt, self.xs, self.xs[1:])):
             raise ValueError("trajectory grid must be strictly decreasing")
         self.meta = dict(meta or {})
 
     @property
     def dimension(self):
-        return self.ys.shape[1]
+        return len(self.cols)
 
     def domain(self):
-        return float(self.xs[-1]), float(self.xs[0])
+        return self.xs[-1], self.xs[0]
 
     def __call__(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain()
-        if np.any(x_arr < lo - 1e-15 * abs(lo)) or np.any(x_arr > hi + 1e-15 * hi):
+        """Values at one scalar x, as a tuple of floats."""
+        x = float(x)
+        xs = self.xs
+        lo, hi = xs[-1], xs[0]
+        if x < lo - 1e-15 * abs(lo) or x > hi + 1e-15 * hi:
             raise DomainError(f"evaluation outside trajectory domain [{lo}, {hi}]")
-        asc = self.xs[::-1]
-        idx = np.searchsorted(asc, x_arr, side="left")
-        idx = np.clip(idx, 1, len(asc) - 1)
-        i1 = len(self.xs) - 1 - idx  # left knot (larger x) in descending storage
-        i0 = i1 + 1  # right knot (smaller x)
-        x0, x1 = self.xs[i0], self.xs[i1]
-        h = x1 - x0
-        u = (x_arr - x0) / h
+        # the knots >= x lead the descending grid; clip to an interval
+        i1 = min(max(bisect.bisect_right(xs, -x, key=operator.neg), 1), len(xs) - 1) - 1
+        i0 = i1 + 1  # i1 is the left knot (larger x), i0 the right one
+        x0 = xs[i0]
+        h = xs[i1] - x0
+        u = (x - x0) / h
         u2, u3 = u * u, u * u * u
         h00 = 2 * u3 - 3 * u2 + 1
         h10 = u3 - 2 * u2 + u
         h01 = -2 * u3 + 3 * u2
         h11 = u3 - u2
-        vals = (
-            h00[:, None] * self.ys[i0]
-            + h10[:, None] * h[:, None] * self.dys[i0]
-            + h01[:, None] * self.ys[i1]
-            + h11[:, None] * h[:, None] * self.dys[i1]
-        )
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return vals[0]
-        return vals
+        return tuple([
+            h00 * c[i0] + h10 * h * d[i0] + h01 * c[i1] + h11 * h * d[i1]
+            for c, d in zip(self.cols, self.dcols)
+        ])
 
     def slice(self, cols):
-        return Trajectory(self.xs, self.ys[:, cols], self.dys[:, cols], self.meta)
+        """The components ``cols`` on the same, already checked, grid."""
+        part = copy.copy(self)
+        part.cols = tuple(self.cols[k] for k in cols)
+        part.dcols = tuple(self.dcols[k] for k in cols)
+        part.meta = dict(self.meta)
+        return part
 
     def write_csv(self, fh):
         names = ["x", "y1", "y2", "z1", "z2"][: 1 + self.dimension]
         fh.write(",".join(names) + "\n")
-        for i in range(len(self.xs)):
-            row = [self.xs[i]] + list(self.ys[i])
+        for row in zip(self.xs, *self.cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _floats(values):
+    """``values`` as an ``array('d')``; an ``array('d')`` passes through uncopied."""
+    return values if isinstance(values, array) and values.typecode == "d" else array("d", values)
 
 
 def solve(ivp: IVP) -> Trajectory:
@@ -174,10 +190,11 @@ def solve(ivp: IVP) -> Trajectory:
     ts, us, dus, stats = _dopri5(ivp.system.rhs, t0, t1, tuple(float(v) for v in ivp.y0),
                                  ivp.rtol, atol, ivp.max_steps, logsub)
 
-    xs = np.exp(ts) if logsub else ts
+    xs = array("d", np.exp(ts).tolist() if logsub else ts)
     xs[0], xs[-1] = ivp.x_start, ivp.x_end  # guard endpoint rounding
+    cols = [array("d", c) for c in zip(*us)]
     # store derivatives with respect to x in either case
-    dys = dus / xs[:, None] if logsub else dus
+    dcols = [array("d", [d / x for d, x in zip(c, xs)] if logsub else c) for c in zip(*dus)]
     meta = {
         "rtol": ivp.rtol,
         "atol": float(np.min(atol)),
@@ -186,7 +203,7 @@ def solve(ivp: IVP) -> Trajectory:
         "max_error_ratio": stats["max_err"],
         "log_substitution": logsub,
     }
-    return Trajectory(xs, us, dys, meta)
+    return Trajectory(xs, cols, dcols, meta)
 
 
 def solve_pair(ivp: IVP, eps0) -> tuple:
@@ -272,7 +289,7 @@ def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
         h *= factor
 
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
-    return np.array(ts), np.array(ys), np.array(dys), stats
+    return ts, ys, dys, stats
 
 
 @functools.cache

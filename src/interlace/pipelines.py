@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import numpy as np
 
 from . import dichotomy as _dichotomy
 from . import report as _report
@@ -168,8 +167,7 @@ def run_pair(config, entry=None, outdir=None):
     pair_report = _dichotomy.build_pair_report(
         gamma, eps, probes, census_exprs, thresholds
     )
-    joint = Trajectory(gamma.xs, np.hstack([gamma.ys, eps.ys]),
-                       np.hstack([gamma.dys, eps.dys]), gamma.meta)
+    joint = Trajectory(gamma.xs, gamma.cols + eps.cols, gamma.dcols + eps.dcols, gamma.meta)
     payload = _ivp_payload("classify-pair", config, ivp, joint, outdir)
     payload["eps0"] = list(eps0)
     payload["integrator"]["n_rejected"] = gamma.meta.get("n_rejected")
@@ -188,7 +186,7 @@ def run_integrate(config, entry=None, outdir=None):
     ivp = _ivp(config, "integrate")
     traj = solve(ivp)
     payload = _ivp_payload("integrate", config, ivp, traj, outdir)
-    payload["final"] = {"x": float(traj.xs[-1]), "y": [float(v) for v in traj.ys[-1]]}
+    payload["final"] = {"x": traj.xs[-1], "y": [c[-1] for c in traj.cols]}
     return payload, 0
 
 

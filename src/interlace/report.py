@@ -165,9 +165,11 @@ def contact_plot(eps, contact_report, path):
     local power law the probe's order estimate asserts.
     """
     canvas = SvgCanvas("gap norm and contact order", "log10(x)", "log10||eps||")
-    norms = np.sqrt(np.sum(eps.ys**2, axis=1))
-    mask = norms > 0
-    canvas.add_line(np.log10(eps.xs[mask]), np.log10(norms[mask]))
+    norms = [math.sqrt(a * a + b * b) for a, b in zip(*eps.cols)]
+    kept = [(x, n) for x, n in zip(eps.xs, norms) if n > 0]
+    if kept:
+        xs, norms = zip(*kept)
+        canvas.add_line(np.log10(xs), np.log10(norms))
     half_width = 0.12  # decades on each side of the probe
     for p in contact_report.probes:
         if p.coincident or p.norm <= 0:

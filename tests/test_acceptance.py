@@ -218,9 +218,8 @@ def test_criterion_06_asymptotic_order_of_jet_deviation():
                     res = mpmath.mpf(x) ** 2 * dy - (borel_median_euler(x) - x)
                     assert abs(res) < 1e-12
         dys = [(y - x) / x**2 for x, y in zip(xs, ys)]
-        traj = Trajectory(
-            np.array(xs), np.array([[y, 0.0] for y in ys]), np.array([[d, 0.0] for d in dys])
-        )
+        zeros = [0.0] * len(xs)
+        traj = Trajectory(xs, [ys, zeros], [dys, zeros])
         theta = euler_series(14, var="t")
         curve = PuiseuxCurve(1, (theta, TruncatedSeries.zero(14, EXACT, "t")))
         for n in (4, 8, 12):

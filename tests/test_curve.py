@@ -268,12 +268,8 @@ def test_puiseux_interpretation_reads_ramification():
 
 
 def _trajectory_from(fn, dfn, xs, width=2):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.zeros((len(xs), width))
-    dys = np.zeros((len(xs), width))
-    ys[:, 0] = [fn(x) for x in xs]
-    dys[:, 0] = [dfn(x) for x in xs]
-    return Trajectory(xs, ys, dys)
+    zeros = [[0.0] * len(xs)] * (width - 1)
+    return Trajectory(xs, [[fn(x) for x in xs], *zeros], [[dfn(x) for x in xs], *zeros])
 
 
 def test_trajectory_equal_to_short_jet_has_order_beyond_it():

@@ -21,6 +21,7 @@ from interlace.errors import ZeroEpsilonError
 from interlace.expr import compile_expr, parse_expr
 from interlace.field import ReducedSystem
 from interlace.integrate import IVP, Trajectory, solve_pair
+from interlace.registry import ENTRIES
 
 from _expr_reference import evaluate
 
@@ -33,10 +34,10 @@ def rotating_system(a, b):
 
 
 def synthetic_eps(fn1, fn2, d1, d2, xs):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.column_stack([[fn1(x) for x in xs], [fn2(x) for x in xs]])
-    dys = np.column_stack([[d1(x) for x in xs], [d2(x) for x in xs]])
-    return Trajectory(xs, ys, dys)
+    xs = [float(x) for x in xs]
+    cols = [[fn1(x) for x in xs], [fn2(x) for x in xs]]
+    dcols = [[d1(x) for x in xs], [d2(x) for x in xs]]
+    return Trajectory(xs, cols, dcols)
 
 
 # -- contact order -------------------------------------------------------------
@@ -127,7 +128,8 @@ def test_unwrapped_angle_stable_under_denser_sampling():
 
 def test_turn_count_invariant_under_gap_rescaling():
     _, eps = solve_pair(IVP(rotating_system(0, 1), 1.0, 0.1, (0.0, 0.0)), (1.0, 0.0))
-    scaled = Trajectory(eps.xs, 7.25 * eps.ys, 7.25 * eps.dys, eps.meta)
+    scaled = Trajectory(eps.xs, [[7.25 * v for v in c] for c in eps.cols],
+                        [[7.25 * v for v in c] for c in eps.dcols], eps.meta)
     assert winding(scaled).total_turns == pytest.approx(
         winding(eps).total_turns, abs=1e-12
     )
@@ -203,14 +205,14 @@ def test_census_knot_samples_equal_dense_output_samples():
     gamma, eps = solve_pair(
         IVP(rotating_system(0.1, 1), 1.0, 0.01, (0.0, 0.0)), (1.0, 0.0)
     )
-    assert np.array_equal(gamma(gamma.xs), gamma.ys)
-    assert np.array_equal(eps(eps.xs), eps.ys)
+    assert [gamma(x) for x in gamma.xs] == list(zip(*gamma.cols))
+    assert [eps(x) for x in eps.xs] == list(zip(*eps.cols))
     names = ("x", "y1", "y2", "z1", "z2")
     for text in ("z1", "z1*x - z2/10"):
         tree = parse_expr(text, names)
         f = compile_expr(tree, names)
         dense = [evaluate(tree, dict(zip(names, (x, *gamma(x), *eps(x))))) for x in gamma.xs]
-        knots = [f((x, *g, *z)) for x, g, z in zip(gamma.xs, gamma.ys, eps.ys)]
+        knots = [f(row) for row in zip(gamma.xs, *gamma.cols, *eps.cols)]
         assert dense == knots
         entry = sign_census([text], gamma, eps)[0]
         want = sum(1 for a, b in zip(dense, dense[1:]) if a * b < 0)
@@ -225,7 +227,7 @@ def test_census_window_and_grid_checks():
     assert full.decay_exponent == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(ValueError):
         sign_census(["z1"], gamma, eps, window=(0.6, 0.7))
-    other = Trajectory(eps.xs[::2], eps.ys[::2], eps.dys[::2])
+    other = Trajectory(eps.xs[::2], [c[::2] for c in eps.cols], [c[::2] for c in eps.dcols])
     with pytest.raises(ValueError):
         sign_census(["z1"], gamma, other)
 
@@ -278,3 +280,18 @@ def test_thresholds_recorded_in_report():
     report = build_pair_report(gamma, eps, (0.1, 0.05), ("z1",), th)
     assert report.thresholds.turn_threshold == 4.0
     assert report.to_json_dict()["thresholds"]["turn_threshold"] == 4.0
+
+
+@pytest.mark.parametrize("name", ["euler_pair", "rotating"])
+def test_pair_results_hold_python_floats(name):
+    c = ENTRIES[name].config
+    ivp = IVP(ReducedSystem.from_text(c.f1, c.f2), c.x_start, c.x_end, tuple(c.y0),
+              rtol=c.rtol, atol=c.atol, max_steps=c.max_steps)
+    gamma, eps = solve_pair(ivp, tuple(c.eps0))
+    report = build_pair_report(gamma, eps, c.probes, c.census)
+    crossings = [x for entry in report.census for x in entry.crossings]
+    if name == "rotating":
+        assert len(crossings) == 32
+    values = crossings + list(report.winding.xs) + list(report.winding.thetas)
+    values += [v for p in report.contact.probes for v in (p.x, p.norm)]
+    assert [type(v) for v in values if type(v) is not float] == []

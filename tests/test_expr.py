@@ -113,7 +113,7 @@ def test_variable_renaming():
 
 def _expr_strategy(calls=False, max_leaves=12):
     atoms = st.one_of(
-        st.builds(Num, st.builds(F, st.integers(0, 9), st.integers(1, 9))),
+        st.builds(Num, st.builds(F, st.integers(-9, 9), st.integers(1, 9))),
         st.sampled_from([Var("x"), Var("y"), Var("z")]),
     )
 
@@ -142,6 +142,30 @@ def test_print_parse_round_trip(tree):
     normal = parse_expr(text, XYZ)
     assert to_text(normal) == to_text(parse_expr(to_text(normal), XYZ))
     assert parse_expr(to_text(normal), XYZ) == normal
+
+
+def _exact_outcome(tree, point):
+    try:
+        return ("value", compile_expr(tree, XYZ, const=F)(point))
+    except EvaluationSingularityError:
+        return ("singular",)
+
+
+@given(_expr_strategy(), st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+                                     for _ in XYZ]))
+@settings(max_examples=300, deadline=None)
+@example(Pow(Num(F(-1)), 0), (F(0), F(0), F(0)))
+@example(BinOp("*", Var("x"), Num(F(-2))), (F(3), F(0), F(0)))
+def test_printed_text_parses_back_to_the_same_value(tree, point):
+    # exact evaluation: the text of a tree must mean what the tree means
+    assert _exact_outcome(parse_expr(to_text(tree), XYZ), point) == _exact_outcome(tree, point)
+
+
+def test_negative_literals_print_like_negations():
+    assert to_text(Pow(Num(F(-1)), 0)) == "(-1)^0"
+    assert to_text(Pow(Num(F(-1, 2)), 3)) == "(-1/2)^3"
+    assert to_text(BinOp("*", Var("x"), Num(F(-2)))) == "x*(-2)"
+    assert to_text(BinOp("+", Num(F(-2)), Var("x"))) == "-2 + x"
 
 
 def test_parsed_trees_round_trip_exactly():

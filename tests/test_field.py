@@ -245,7 +245,7 @@ def test_nonlinear_pair_matches_the_closed_form_gap():
 
     for g in (1e-3, 1e-20, 1e-80, 1e-200):
         _, eps = solve_pair(IVP(system, 1.0, 0.01, (y0, y0)), (g, -g / 2))
-        for x, (e1, e2) in zip(eps.xs, eps.ys):
+        for x, e1, e2 in zip(eps.xs, *eps.cols):
             assert e1 == pytest.approx(closed_form(x, g), rel=1e-8, abs=0.0)
             assert e2 == pytest.approx(closed_form(x, -g / 2), rel=1e-8, abs=0.0)
 

@@ -2,10 +2,12 @@
 
 import io
 import math
+from array import array
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interlace import integrate
 from interlace.errors import (
@@ -21,12 +23,18 @@ from interlace.integrate import IVP, solve, solve_pair
 from interlace.registry import ENTRIES
 from interlace.series import euler_series
 
+from _dense_reference import NumpyTrajectory
+
 
 def sys2(f1, f2="y2/x"):
     return ReducedSystem.from_text(f1, f2)
 
 
 EULER = sys2("(y1-x)/x^2", "(y2-2*x)/(2*x^2)")
+
+
+def last(traj):
+    return [c[-1] for c in traj.cols]
 
 
 def J_euler(x, n):
@@ -38,7 +46,7 @@ def J_euler(x, n):
 def test_linear_system_reproduces_the_line():
     # y' = y/x keeps y = x exactly
     traj = solve(IVP(sys2("y1/x"), 1.0, 0.25, (1.0, 1.0)))
-    assert traj.ys[-1] == pytest.approx([0.25, 0.25], rel=1e-9)
+    assert last(traj) == pytest.approx([0.25, 0.25], rel=1e-9)
 
 
 def test_reduced_radial_field_integrates_to_straight_lines():
@@ -55,7 +63,7 @@ def test_euler_solution_approaches_the_divergent_jet():
     # high-precision oracle for the solution through (0.2, J_6 E(0.2)) gives
     # |y(0.05) - J_10 E(0.05)| = 4.9836e-08 (series tail + flat family offset)
     traj = solve(IVP(EULER, 0.2, 0.05, (J_euler(0.2, 6), 0.0)))
-    gap = abs(traj.ys[-1][0] - J_euler(0.05, 10))
+    gap = abs(traj.cols[0][-1] - J_euler(0.05, 10))
     assert gap == pytest.approx(4.9836e-08, rel=1e-3)
 
 
@@ -63,7 +71,7 @@ def test_rotating_system_radius_tracks_closed_form():
     # gap field (a z + b z_perp)/x^2: radius r0 exp(a (1/x0 - 1/x))
     rot = sys2("(y1/10 - y2)/x^2", "(y2/10 + y1)/x^2")
     traj = solve(IVP(rot, 1.0, 0.1, (1.0, 0.0)))
-    r = float(np.hypot(*traj.ys[-1]))
+    r = float(np.hypot(*last(traj)))
     want = math.exp(0.1 * (1.0 - 10.0))
     assert r == pytest.approx(want, rel=1e-6)
 
@@ -86,11 +94,11 @@ def test_halving_tolerance_does_not_worsen_oracle_error():
         for rtol in (1e-6, 1e-8, 1e-10):
             traj = solve(IVP(system, x0, x1, y0, rtol=rtol, atol=rtol * 1e-2))
             if exact is not None:
-                err = abs(traj.ys[-1][0] - exact(x1))
+                err = abs(traj.cols[0][-1] - exact(x1))
             else:
                 if ref is None:
                     ref = solve(IVP(system, x0, x1, y0, rtol=1e-12, atol=1e-14))
-                err = float(np.max(np.abs(traj.ys[-1] - ref.ys[-1])))
+                err = float(np.max(np.abs(np.subtract(last(traj), last(ref)))))
             errs.append(err)
         assert errs[1] <= errs[0] + 1e-15
         assert errs[2] <= errs[1] + 1e-15
@@ -100,10 +108,9 @@ def test_dense_output_matches_knots_exactly_and_midpoints_closely():
     ivp = IVP(sys2("y1/x"), 1.0, 0.25, (1.0, 1.0), rtol=1e-8, atol=1e-10)
     traj = solve(ivp)
     for i in (0, len(traj.xs) // 2, len(traj.xs) - 1):
-        assert traj(float(traj.xs[i]))[0] == traj.ys[i][0]
-    mids = (traj.xs[:-1] + traj.xs[1:]) / 2
-    vals = traj(mids)
-    assert np.max(np.abs(vals[:, 0] - mids)) <= 10 * 1e-8
+        assert traj(traj.xs[i])[0] == traj.cols[0][i]
+    mids = [(a + b) / 2 for a, b in zip(traj.xs, traj.xs[1:])]
+    assert max(abs(traj(m)[0] - m) for m in mids) <= 10 * 1e-8
 
 
 def test_pair_gap_follows_flat_closed_form():
@@ -112,23 +119,23 @@ def test_pair_gap_follows_flat_closed_form():
         got = float(np.hypot(*eps(x)))
         want = 0.1 * math.exp(2 - 1 / x)
         assert got == pytest.approx(want, rel=1e-6)
-    assert np.all(eps.ys[:, 1] == 0.0)
+    assert all(v == 0.0 for v in eps.cols[1])
 
 
 def test_flat_gap_keeps_relative_accuracy_down_to_1e_200():
     # the closed form 0.1 exp(2 - 1/x) is 1.4e-201 at x = 1/462.2
     x_end = 1 / 462.2
     gamma, eps = solve_pair(IVP(EULER, 0.5, x_end, (1.0, 2.0)), (0.1, 0.0))
-    assert eps.ys[-1, 0] < 2e-200
+    assert eps.cols[0][-1] < 2e-200
     for x in (0.1, 0.01, 0.005, x_end):
         want = 0.1 * math.exp(2 - 1 / x)
         assert float(eps(x)[0]) == pytest.approx(want, rel=1e-6)
-    assert np.all(eps.ys[:, 1] == 0.0)
+    assert all(v == 0.0 for v in eps.cols[1])
 
 
 def test_pair_with_zero_gap_stays_exactly_zero():
     gamma, eps = solve_pair(IVP(EULER, 0.5, 0.1, (1.0, 2.0)), (0.0, 0.0))
-    assert np.all(eps.ys == 0.0)
+    assert all(v == 0.0 for c in eps.cols for v in c)
 
 
 def test_pair_of_decoupled_linear_equations():
@@ -147,7 +154,7 @@ def test_pair_route_consistent_with_trajectory_subtraction():
     shifted = solve(IVP(lin, 1.0, 0.3, (0.75, 0.375)))
     plain = solve(IVP(lin, 1.0, 0.3, (0.5, 0.25)))
     for x in (0.8, 0.5, 0.3):
-        direct = shifted(x) - plain(x)
+        direct = np.subtract(shifted(x), plain(x))
         joint = eps(x)
         assert np.max(np.abs(direct - joint)) < 1e-10
 
@@ -159,7 +166,7 @@ def test_log_substitution_flag_and_auto_threshold():
 
     a = solve(IVP(sys2("y1/x"), 1.0, 0.25, (1.0, 1.0), log_substitution=True))
     b = solve(IVP(sys2("y1/x"), 1.0, 0.25, (1.0, 1.0), log_substitution=False))
-    assert a.ys[-1][0] == pytest.approx(b.ys[-1][0], rel=1e-9)
+    assert a.cols[0][-1] == pytest.approx(b.cols[0][-1], rel=1e-9)
     assert a.meta["log_substitution"] and not b.meta["log_substitution"]
 
 
@@ -225,7 +232,8 @@ def test_ivp_validation():
 # _reference_solve and _reference_dopri5 are the numpy implementation of
 # ``solve``'s right-hand-side wrapper and step loop, unchanged apart from
 # names, comments and the rule that a remaining span below the underflow
-# floor ends the run.  The scalar loop must reproduce them bit for bit.
+# floor ends the run; _reference_solve returns the numpy arrays the parent
+# built its Trajectory from.  The scalar loop must reproduce them bit for bit.
 
 
 def _reference_solve(ivp):
@@ -269,7 +277,7 @@ def _reference_solve(ivp):
         "max_error_ratio": stats["max_err"],
         "log_substitution": logsub,
     }
-    return integrate.Trajectory(xs, us, dys, meta)
+    return xs, us, dys, meta
 
 
 def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
@@ -337,11 +345,14 @@ def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
     return np.array(ts), np.array(ys), np.array(dys), stats
 
 
-def _assert_same_trajectory(got, want):
-    for name in ("xs", "ys", "dys"):
-        a, b = getattr(got, name), getattr(want, name)
+def _assert_same_trajectory(got, want, cols=slice(None)):
+    """``got`` holds the bytes of the reference arrays ``want``, or of their ``cols``."""
+    xs, ys, dys, meta = want
+    for name, a, b in (("xs", np.array(got.xs), xs),
+                       ("cols", np.array(got.cols).T, ys[:, cols]),
+                       ("dcols", np.array(got.dcols).T, dys[:, cols])):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.meta == want.meta
+    assert got.meta == meta
 
 
 def _registry_ivp(name, **overrides):
@@ -360,8 +371,8 @@ def test_scalar_pair_loop_matches_numpy_reference_bit_for_bit(name, eps0):
     pair_ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + eps0,
                        atol_overrides=(None, None, 0.0, 0.0))
     ref = _reference_solve(pair_ivp)
-    _assert_same_trajectory(gamma, ref.slice([0, 1]))
-    _assert_same_trajectory(eps, ref.slice([2, 3]))
+    _assert_same_trajectory(gamma, ref, [0, 1])
+    _assert_same_trajectory(eps, ref, [2, 3])
 
 
 @pytest.mark.parametrize("log_substitution", [True, False, None])
@@ -406,7 +417,7 @@ def test_last_step_below_the_underflow_floor_ends_like_numpy_reference():
     traj = solve(ivp)
     _assert_same_trajectory(traj, _reference_solve(ivp))
     assert traj.xs[-1] == 0.01
-    assert traj.ys[-1] == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
+    assert last(traj) == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
 
 
 # -- the generated step kernel against the numpy reference -------------------
@@ -485,3 +496,87 @@ def test_every_stage_calls_the_system_rhs(monkeypatch):
         assert calls[0] == 1 + 6 * attempted
         total += calls[0]
     assert total == 61628  # the pair_tight workload at seed 0
+
+
+# -- scalar dense output against the numpy interpolant it replaced -----------
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _dense_cases(draw):
+    """A trajectory's grid and columns, and the points at which to evaluate it."""
+    dim = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(2, 30))
+    x = draw(st.floats(1e-6, 1.0))
+    xs = [x]
+    for _ in range(n - 1):
+        x = x + draw(st.floats(1e-6, 1.0))
+        xs.append(x)
+    xs.reverse()
+    cols = [draw(st.lists(_VALUES, min_size=n, max_size=n)) for _ in range(2 * dim)]
+    lo, hi = xs[-1], xs[0]
+    points = list(xs)  # every knot
+    for _ in range(draw(st.integers(1, 12))):
+        i = draw(st.integers(0, n - 2))
+        points.append(xs[i + 1] + draw(st.floats(0.0, 1.0)) * (xs[i] - xs[i + 1]))
+    # the last floats inside the 1e-15 edge tolerance, and the first beyond it
+    for edge, away in ((lo - 1e-15 * lo, 0.0), (hi + 1e-15 * hi, math.inf)):
+        points += [edge, math.nextafter(edge, away)]
+    points += draw(st.lists(st.floats(1e-9, 50.0), max_size=4))
+    return xs, cols[:dim], cols[dim:], points
+
+
+def _dense_outcome(traj, x):
+    try:
+        return [float(v).hex() for v in traj(x)]
+    except DomainError as err:
+        return ("DomainError", str(err))
+
+
+@given(_dense_cases())
+@settings(max_examples=300, deadline=None)
+def test_scalar_dense_output_matches_numpy_reference_bit_for_bit(case):
+    xs, cols, dcols, points = case
+    traj = integrate.Trajectory(xs, cols, dcols)
+    ref = NumpyTrajectory(xs, np.array(cols).T, np.array(dcols).T)
+    for x in points:
+        assert _dense_outcome(traj, x) == _dense_outcome(ref, x), x
+    knot = traj(xs[0])
+    assert type(knot) is tuple and len(knot) == len(cols)
+    assert all(type(v) is float for v in knot)
+
+
+def test_scalar_dense_output_matches_numpy_reference_on_solved_pairs():
+    for name in ("euler_pair", "rotating"):
+        ivp = _registry_ivp(name, rtol=1e-12, atol=1e-14)
+        for traj in solve_pair(ivp, tuple(ENTRIES[name].config.eps0)):
+            ref = NumpyTrajectory(traj.xs, np.array(traj.cols).T, np.array(traj.dcols).T)
+            xs = list(traj.xs)
+            points = xs[::50] + [(a + b) / 2 for a, b in zip(xs[::37], xs[1::37])]
+            for x in points:
+                assert _dense_outcome(traj, x) == _dense_outcome(ref, x), (name, x)
+
+
+def test_trajectory_rejects_misshapen_columns():
+    xs = [0.5, 0.25, 0.125]
+    col = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="2 value columns but 1 derivative columns"):
+        integrate.Trajectory(xs, [col, col], [col])
+    with pytest.raises(ValueError, match="one value per knot"):
+        integrate.Trajectory(xs, [col, col[:2]], [col, col])
+    with pytest.raises(ValueError, match="one value per knot"):
+        integrate.Trajectory(xs, [col, col], [col, col + [4.0]])
+    with pytest.raises(ValueError, match="at least two grid points"):
+        integrate.Trajectory(xs[:1], [col[:1]], [col[:1]])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        integrate.Trajectory([0.5, 0.5, 0.125], [col], [col])
+
+
+def test_slices_share_the_solved_columns():
+    gamma, eps = solve_pair(IVP(EULER, 0.5, 0.1, (1.0, 2.0)), (0.1, 0.0))
+    assert gamma.xs is eps.xs
+    assert all(type(c) is array for c in gamma.cols + gamma.dcols + eps.cols + eps.dcols)
+    joint = integrate.Trajectory(gamma.xs, gamma.cols + eps.cols, gamma.dcols + eps.dcols)
+    assert joint.xs is gamma.xs and joint.cols[2] is eps.cols[0]

@@ -1,5 +1,6 @@
-"""The demo scripts under scripts/ run to completion and print their key lines."""
+"""The scripts under scripts/ run to completion and print their key lines."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -64,3 +65,44 @@ def test_compare_suite_ignores_only_the_timestamps(tmp_path):
     assert proc.stdout.splitlines() == [
         "pair/report.json", "pair/trajectory.csv", "stdout.txt", "3 paths differ",
     ]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_of_synthetic_runs():
+    bench = _load_script("bench_pairs")
+    parent = [4.0, 5.0, 6.0, 7.0, 8.0]
+    change = [6.0, 4.0, 7.0, 9.0, 8.0]
+    runs = [{"seed": s, "parent": {"ops_per_s": p, "op_p50_s": 1 / p},
+             "change": {"ops_per_s": c, "op_p50_s": 1 / c}}
+            for s, p, c in zip(range(11, 16), parent, change)]
+    runs.append({"seed": 16, "parent": {"ops_per_s": 1.0, "op_p50_s": 1.0}, "change": None})
+    summary = bench.summarize(runs, {"ops_per_s": "higher", "op_p50_s": "lower"})
+    ops = summary["ops_per_s"]
+    # the failed pair is left out: five pairs, inclusive quartiles of 4..8
+    assert ops["pairs"] == 5
+    assert ops["parent"] == {"median": 6.0, "q1": 5.0, "q3": 7.0, "iqr": 2.0}
+    assert ops["change"]["median"] == 7.0 and ops["median_gap"] == 1.0
+    # 6 > 4, 7 > 6, 9 > 7 win; 4 < 5 loses; the tie 8 = 8 is no win
+    assert ops["change_better_pairs"] == 3
+    assert summary["op_p50_s"]["change_better_pairs"] == 3
+    assert summary["op_p50_s"]["parent"]["median"] == 1 / 6
+    text = bench.format_summary("pair_tight", summary, failed=1)
+    assert text.splitlines()[:2] == [
+        "pair_tight: 1 failed runs",
+        "  ops_per_s: parent 6 [5, 7] -> change 7; change better in 3/5",
+    ]
+
+
+def test_bench_pairs_edge_cases():
+    bench = _load_script("bench_pairs")
+    assert bench.quartiles([2.5]) == (2.5, 2.5, 2.5)
+    assert bench.parse_seeds("11-20") == list(range(11, 21))
+    assert bench.parse_seeds("3") == [3]
+    failed = [{"seed": 1, "parent": None, "change": {"ops_per_s": 1.0}}]
+    assert bench.summarize(failed, {"ops_per_s": "higher"}) == {"ops_per_s": {"pairs": 0}}
