@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import expr as _expr
 from .errors import ZeroEpsilonError
 from .field import DIFFERENCE_VARS
@@ -66,7 +64,7 @@ def contact_order(eps, probes, flat_bound=10.0) -> ContactReport:
     rows = []
     for x in probes:
         v = eps(x)
-        norm = float(np.hypot(*v)) if len(v) == 2 else float(np.linalg.norm(v))
+        norm = math.hypot(*v)
         if norm == 0.0:
             rows.append(ContactProbe(float(x), 0.0, math.inf, coincident=True))
         else:
@@ -90,7 +88,8 @@ class WindingResult:
     def to_json_dict(self, max_samples=4096):
         xs, th = list(self.xs), list(self.thetas)
         if len(xs) > max_samples:
-            idx = np.linspace(0, len(xs) - 1, max_samples).round().astype(int)
+            step = (len(xs) - 1) / (max_samples - 1)  # as np.linspace(...).round()
+            idx = [round(i * step) for i in range(max_samples - 1)] + [len(xs) - 1]
             xs = [xs[i] for i in idx]
             th = [th[i] for i in idx]
         return {"total_turns": self.total_turns, "total_angle": self.total_angle,
@@ -205,11 +204,12 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
             last_sign = s
         decay = None
         if changes == 0 and all(v != 0 for v in fvals):
-            logx = np.log(xs)
-            logf = np.log(np.abs(np.asarray(fvals)))
-            denom = float(((logx - logx.mean()) ** 2).sum())
+            logx = [math.log(x) for x in xs]
+            logf = [math.log(abs(v)) for v in fvals]
+            mx, mf = math.fsum(logx) / len(xs), math.fsum(logf) / len(xs)
+            denom = math.fsum((a - mx) * (a - mx) for a in logx)
             if denom > 0:
-                decay = float(((logx - logx.mean()) * (logf - logf.mean())).sum() / denom)
+                decay = math.fsum((a - mx) * (b - mf) for a, b in zip(logx, logf)) / denom
         entries.append(
             CensusEntry(text, changes, last_sign, tuple(crossings), decay)
         )

@@ -8,15 +8,13 @@ rate to 0), a heuristic exposed as a flag.
 
 The step loop runs on plain Python floats, since the state has only 2 or 4
 components; at the end ``solve`` transposes its rows into one float column
-per component, and dense output reads those columns one scalar x at a time
-(numpy remains only for ``exp`` of log-substituted knots and the initial
-step size, whose roundings the tests pin bit for bit).  One step (seven
-right-hand-side stages, the 5th- and 4th-order solutions and the error norm)
-is Python source unrolled over the components, generated once per dimension
-and log substitution (``_kernel``); it calls the system's ``rhs`` for every
-stage.  Step-size control stays in ``_dopri5``.  The order of floating-point
-operations is fixed so that results equal the numpy loop the scalar loop
-replaced (kept as a reference in the tests) bit for bit.
+per component, and dense output reads those columns one scalar x at a time.
+One step (seven right-hand-side stages, the 5th- and 4th-order solutions and
+the error norm) is Python source unrolled over the components, generated
+once per dimension and log substitution (``_kernel``); it calls the system's
+``rhs`` for every stage.  Step-size control stays in ``_dopri5``.  The order
+of floating-point operations is fixed so that results equal the numpy loop
+the scalar loop replaced (kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
@@ -35,8 +33,6 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import (
     AdaptedChartError,
@@ -135,7 +131,7 @@ class Trajectory:
         x = float(x)
         xs = self.xs
         lo, hi = xs[-1], xs[0]
-        if x < lo - 1e-15 * abs(lo) or x > hi + 1e-15 * hi:
+        if not (lo - 1e-15 * abs(lo) <= x <= hi + 1e-15 * hi):  # False for NaN too
             raise DomainError(f"evaluation outside trajectory domain [{lo}, {hi}]")
         # the knots >= x lead the descending grid; clip to an interval
         i1 = min(max(bisect.bisect_right(xs, -x, key=operator.neg), 1), len(xs) - 1) - 1
@@ -190,14 +186,14 @@ def solve(ivp: IVP) -> Trajectory:
     ts, us, dus, stats = _dopri5(ivp.system.rhs, t0, t1, tuple(float(v) for v in ivp.y0),
                                  ivp.rtol, atol, ivp.max_steps, logsub)
 
-    xs = array("d", np.exp(ts).tolist() if logsub else ts)
+    xs = array("d", map(math.exp, ts) if logsub else ts)  # the stage points
     xs[0], xs[-1] = ivp.x_start, ivp.x_end  # guard endpoint rounding
     cols = [array("d", c) for c in zip(*us)]
     # store derivatives with respect to x in either case
     dcols = [array("d", [d / x for d, x in zip(c, xs)] if logsub else c) for c in zip(*dus)]
     meta = {
         "rtol": ivp.rtol,
-        "atol": float(np.min(atol)),
+        "atol": min(atol),
         "n_steps": stats["n_steps"],
         "n_rejected": stats["n_rejected"],
         "max_error_ratio": stats["max_err"],
@@ -241,8 +237,7 @@ def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
     t = t0
     y = y0
     k1 = first(rhs, t, y)
-    h = sign * min(span / 100.0, _initial_step(t0, np.array(y), np.array(k1),
-                                               rtol, np.array(atol), logsub))
+    h = sign * min(span / 100.0, _initial_step(t0, y, k1, rtol, atol, logsub))
 
     ts, ys, dys = [t], [y], [k1]
     n_steps = n_rejected = 0
@@ -398,12 +393,16 @@ def _to_x(t, logsub):
 
 
 def _initial_step(t0, y, k1, rtol, atol, logsub):
-    scale = atol + rtol * np.abs(y)
-    mask = scale > 0
-    if not np.any(mask):
+    scale = [a + rtol * abs(v) for a, v in zip(atol, y)]
+    kept = [(v / s, d / s) for v, d, s in zip(y, k1, scale) if s > 0]
+    if not kept:
         return 1e-6 if logsub else abs(t0) * 1e-6
-    d0 = float(np.sqrt(np.mean(np.square(y[mask] / scale[mask]))))
-    d1 = float(np.sqrt(np.mean(np.square(k1[mask] / scale[mask]))))
+    # the mean squares add left to right, as np.mean adds fewer than 8 terms
+    # (builtin sum() compensates from Python 3.12 on)
+    s0 = s1 = 0.0
+    for v, d in kept:
+        s0, s1 = s0 + v * v, s1 + d * d
+    d0, d1 = math.sqrt(s0 / len(kept)), math.sqrt(s1 / len(kept))
     if d0 < 1e-5 or d1 < 1e-5 or not math.isfinite(d0 / max(d1, 1e-300)):
         return 1e-6 if logsub else abs(t0) * 1e-6
     return 0.01 * d0 / d1

@@ -13,8 +13,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 
@@ -169,7 +167,7 @@ def contact_plot(eps, contact_report, path):
     kept = [(x, n) for x, n in zip(eps.xs, norms) if n > 0]
     if kept:
         xs, norms = zip(*kept)
-        canvas.add_line(np.log10(xs), np.log10(norms))
+        canvas.add_line(map(math.log10, xs), map(math.log10, norms))
     half_width = 0.12  # decades on each side of the probe
     for p in contact_report.probes:
         if p.coincident or p.norm <= 0:

@@ -3,7 +3,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -469,3 +473,25 @@ def test_suite_subset_determinism(tmp_path):
         ja = strip_timestamps(json.loads(rep.read_text()))
         jb = strip_timestamps(json.loads(other.read_text()))
         assert ja == jb
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from interlace import cli
+codes = [cli.main(["suite", "--outdir", sys.argv[1]]), cli.main(["list-examples"])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" and sys.modules[m])
+print(json.dumps({"codes": codes, "numpy": loaded}))
+"""
+
+
+def test_the_library_runs_without_numpy(tmp_path):
+    import interlace
+
+    src = Path(interlace.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": []}
+    assert load_json(tmp_path / "summary.json")["all_ok"] is True

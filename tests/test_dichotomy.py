@@ -11,6 +11,7 @@ from interlace.dichotomy import (
     VERDICT_HARDY,
     VERDICT_INCONCLUSIVE,
     VERDICT_INTERLACED,
+    WindingResult,
     build_pair_report,
     classify,
     contact_order,
@@ -44,13 +45,16 @@ def synthetic_eps(fn1, fn2, d1, d2, xs):
 
 
 def test_pure_power_gap_has_constant_contact_order():
-    eps = synthetic_eps(
-        lambda x: x**3, lambda x: 0.0, lambda x: 3 * x**2, lambda x: 0.0,
-        np.geomspace(0.5, 0.01, 40),
-    )
-    rep = contact_order(eps, [0.3, 0.1, 0.03])
-    assert all(p.k_hat == pytest.approx(3.0, abs=1e-12) for p in rep.probes)
-    assert not rep.flat_evidence  # constant, not increasing
+    # the gap (c1, c2) x^3 has Euclidean norm x^3
+    for c1, c2 in ((1.0, 0.0), (0.6, 0.8)):
+        eps = synthetic_eps(
+            lambda x: c1 * x**3, lambda x: c2 * x**3,
+            lambda x: 3 * c1 * x**2, lambda x: 3 * c2 * x**2,
+            np.geomspace(0.5, 0.01, 40),
+        )
+        rep = contact_order(eps, [0.3, 0.1, 0.03])
+        assert all(p.k_hat == pytest.approx(3.0, abs=1e-12) for p in rep.probes)
+        assert not rep.flat_evidence  # constant, not increasing
 
 
 def test_constant_gap_contact_order_decays_to_zero():
@@ -236,6 +240,32 @@ def test_one_signed_power_law_gets_decay_exponent():
     gamma, eps = euler_pair_trajectories()
     entries = sign_census(["x^2"], gamma, eps)
     assert entries[0].decay_exponent == pytest.approx(2.0, abs=1e-6)
+
+
+def test_decay_exponent_of_an_exact_power_law():
+    # y1 = 3 x^2.5 at every knot: log|y1| is affine in log x with slope 2.5
+    xs = [0.9 * 0.97**k for k in range(400)]
+    col = [3.0 * x**2.5 for x in xs]
+    pair = Trajectory(xs, [col] * 4, [col] * 4)
+    entry, = sign_census(["y1"], pair.slice([0, 1]), pair.slice([2, 3]))
+    assert entry.sign_changes == 0
+    assert entry.decay_exponent == pytest.approx(2.5, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("max_samples", [2, 3, 4, 7, 10, 64, 101, 257])
+def test_winding_samples_match_numpy_linspace(max_samples):
+    # the indices of the numpy code it replaced, np.linspace(0, n - 1, m).round().astype(int)
+    for n in range(max_samples + 1, 3 * max_samples + 1):
+        result = WindingResult(tuple(map(float, range(n))), (0.0,) * n, 0.0)
+        want = np.linspace(0, n - 1, max_samples).round().astype(int).tolist()
+        assert result.to_json_dict(max_samples)["x"] == want, n
+
+
+def test_default_winding_samples_match_numpy_linspace():
+    for n in (4097, 4098, 5000, 8191, 8192, 10000, 12288):
+        result = WindingResult(tuple(map(float, range(n))), (0.0,) * n, 0.0)
+        want = np.linspace(0, n - 1, 4096).round().astype(int).tolist()
+        assert result.to_json_dict()["x"] == want, n
 
 
 # -- classification -----------------------------------------------------------------

@@ -229,11 +229,13 @@ def test_ivp_validation():
 
 # -- the scalar step loop against the numpy loop it replaced -----------------
 #
-# _reference_solve and _reference_dopri5 are the numpy implementation of
-# ``solve``'s right-hand-side wrapper and step loop, unchanged apart from
-# names, comments and the rule that a remaining span below the underflow
-# floor ends the run; _reference_solve returns the numpy arrays the parent
-# built its Trajectory from.  The scalar loop must reproduce them bit for bit.
+# _reference_solve, _reference_dopri5 and _reference_initial_step are the
+# numpy implementation of ``solve``'s right-hand-side wrapper, step loop and
+# first step size, unchanged apart from names, comments, the rule that a
+# remaining span below the underflow floor ends the run, and log-substituted
+# knots taken with math.exp (np.exp may round differently, depending on the
+# CPU); _reference_solve returns the numpy arrays that a Trajectory was
+# built from before.  The scalar loop must reproduce them bit for bit.
 
 
 def _reference_solve(ivp):
@@ -266,7 +268,7 @@ def _reference_solve(ivp):
     ts, us, dus, stats = _reference_dopri5(f, t0, t1, np.asarray(ivp.y0, dtype=float),
                                            ivp.rtol, atol, ivp.max_steps, logsub)
 
-    xs = np.exp(ts) if logsub else ts
+    xs = np.array([math.exp(t) for t in ts]) if logsub else ts  # as f maps the stage t
     xs[0], xs[-1] = ivp.x_start, ivp.x_end
     dys = dus / xs[:, None] if logsub else dus
     meta = {
@@ -288,7 +290,7 @@ def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
     t = t0
     y = y0.copy()
     k1 = f(t, y)
-    h = sign * min(span / 100.0, integrate._initial_step(t0, y, k1, rtol, atol, logsub))
+    h = sign * min(span / 100.0, _reference_initial_step(t0, y, k1, rtol, atol, logsub))
 
     ts, ys, dys = [t], [y.copy()], [k1.copy()]
     n_steps = n_rejected = 0
@@ -343,6 +345,18 @@ def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
 
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
     return np.array(ts), np.array(ys), np.array(dys), stats
+
+
+def _reference_initial_step(t0, y, k1, rtol, atol, logsub):
+    scale = atol + rtol * np.abs(y)
+    mask = scale > 0
+    if not np.any(mask):
+        return 1e-6 if logsub else abs(t0) * 1e-6
+    d0 = float(np.sqrt(np.mean(np.square(y[mask] / scale[mask]))))
+    d1 = float(np.sqrt(np.mean(np.square(k1[mask] / scale[mask]))))
+    if d0 < 1e-5 or d1 < 1e-5 or not math.isfinite(d0 / max(d1, 1e-300)):
+        return 1e-6 if logsub else abs(t0) * 1e-6
+    return 0.01 * d0 / d1
 
 
 def _assert_same_trajectory(got, want, cols=slice(None)):
@@ -418,6 +432,54 @@ def test_last_step_below_the_underflow_floor_ends_like_numpy_reference():
     _assert_same_trajectory(traj, _reference_solve(ivp))
     assert traj.xs[-1] == 0.01
     assert last(traj) == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
+
+
+_COMPONENT = st.one_of(st.just(0.0), st.floats(-1e12, 1e12, allow_nan=False),
+                       st.floats(-1e-150, 1e-150, allow_nan=False))
+
+
+@st.composite
+def _initial_step_cases(draw):
+    dim = draw(st.sampled_from([2, 4]))
+    vec = st.lists(_COMPONENT, min_size=dim, max_size=dim)
+    # zero absolute tolerances with zero components give zero scales
+    atol = draw(st.lists(st.sampled_from([0.0, 1e-14, 1e-12, 1e-6]), min_size=dim, max_size=dim))
+    return (draw(st.sampled_from([1.0, 0.5, -2.3])), draw(vec), draw(vec),
+            draw(st.sampled_from([1e-12, 1e-10, 1e-6, 0.1])), atol, draw(st.booleans()))
+
+
+@given(_initial_step_cases())
+@settings(max_examples=1000, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy reference on huge ratios
+def test_initial_step_matches_numpy_reference_bit_for_bit(case):
+    t0, y, k1, rtol, atol, logsub = case
+    got = integrate._initial_step(t0, tuple(y), tuple(k1), rtol, atol, logsub)
+    want = _reference_initial_step(t0, np.array(y), np.array(k1), rtol, np.array(atol), logsub)
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
+def test_log_substituted_knots_are_the_stage_points(monkeypatch):
+    # every interior knot is an x at which the kernel evaluated the system
+    seen = set()
+    original = ReducedSystem.rhs
+
+    def recording(self, x, y):
+        seen.add(x)
+        return original(self, x, y)
+
+    monkeypatch.setattr(ReducedSystem, "rhs", recording)
+    for name in ("euler_pair", "rotating"):
+        seen.clear()
+        traj = solve(_registry_ivp(name, rtol=1e-12, atol=1e-14, log_substitution=True))
+        assert traj.meta["log_substitution"]
+        assert [x for x in traj.xs[1:-1] if x not in seen] == [], name
+
+
+def test_dense_output_rejects_nan_and_infinities():
+    traj = solve(IVP(EULER, 0.5, 0.1, (1.0, 2.0)))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            traj(x)
 
 
 # -- the generated step kernel against the numpy reference -------------------
