@@ -14,7 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-from interlace.report import load_json, strip_timestamps
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout first
+
+from interlace.report import load_json, strip_timestamps  # noqa: E402
 
 
 def _files(root):

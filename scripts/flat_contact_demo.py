@@ -7,10 +7,14 @@ the contact-order estimate at a sweep of probes.
 """
 
 import math
+import sys
+from pathlib import Path
 
-from interlace.dichotomy import contact_order
-from interlace.field import ReducedSystem
-from interlace.integrate import IVP, solve_pair
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout first
+
+from interlace.dichotomy import contact_order  # noqa: E402
+from interlace.field import ReducedSystem  # noqa: E402
+from interlace.integrate import IVP, solve_pair  # noqa: E402
 
 
 def main():

@@ -10,9 +10,13 @@ transcendence at that degree; any kernel vector found is printed.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from interlace.sat import SatCurveSpec, build_sat_curve, monomial_exponents, relation_search
-from interlace.series import Poly, euler_series
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout first
+
+from interlace.sat import SatCurveSpec, build_sat_curve, monomial_exponents, relation_search  # noqa: E402
+from interlace.series import Poly, euler_series  # noqa: E402
 
 
 def main():

@@ -6,9 +6,14 @@ radians; small b stays HardyCandidate, large b interlaces, and intermediate
 runs come out Inconclusive -- the classifier reports its thresholds.
 """
 
-from interlace.dichotomy import build_pair_report
-from interlace.field import ReducedSystem
-from interlace.integrate import IVP, solve_pair
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout first
+
+from interlace.dichotomy import build_pair_report  # noqa: E402
+from interlace.field import ReducedSystem  # noqa: E402
+from interlace.integrate import IVP, solve_pair  # noqa: E402
 
 
 def run(a, b, x_end=0.05):

@@ -10,6 +10,14 @@ also provides the degree-k truncation J_k, the tail operator
 the Euler series E(x) = sum_{n>=0} n! x^{n+1}, the unique formal solution of
 x^2 y' = y - x, and the q-short polynomial test
 deg P < (q+1) val P with positive lowest-order coefficient.
+
+In exact mode the quadratic kernels (product, Horner composition, division,
+exponential) run on Python integers: each operand is put over the lcm of its
+denominators, the loop works on the integer numerators, and one Fraction is
+built per output coefficient at the end.  Integer arithmetic is exact and
+every Fraction is normalised on construction, so the coefficients are the
+ones the Fraction loops give, at one gcd per coefficient instead of one per
+product.  Float mode keeps its loops.
 """
 
 from __future__ import annotations
@@ -208,6 +216,10 @@ class TruncatedSeries:
         other = self._promote(other)
         self._check_mode(other)
         n = min(self.order, other.order)
+        if self.mode.exact:
+            a, da = _over_common(self.coeffs[: n + 1])
+            b, db = _over_common(other.coeffs[: n + 1])
+            return TruncatedSeries(_fractions(_convolve(a, b, n), da * db), self.mode, self.var)
         with self.mode.context():
             out = [self.mode.zero()] * (n + 1)
             nonzero = [
@@ -371,6 +383,33 @@ class Poly:
         return terms_text([(i, str(c)) for i, c in enumerate(self.coeffs) if c != 0], self.var)
 
 
+# -- exact kernels on integer numerators ---------------------------------------
+
+
+def _over_common(coeffs):
+    """(nums, d) with coeffs[i] = nums[i] / d, d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolve(a, b, n):
+    """Integer coefficients of a * b up to x^n, skipping zero coefficients."""
+    out = [0] * (n + 1)
+    nonzero = [(j, v) for j, v in enumerate(b[: n + 1]) if v]
+    for i, u in enumerate(a[: n + 1]):
+        if u:
+            for j, v in nonzero:
+                if i + j > n:
+                    break
+                out[i + j] += u * v
+    return out
+
+
+def _fractions(nums, d):
+    zero = Fraction(0)
+    return tuple(Fraction(c, d) if c else zero for c in nums)
+
+
 # -- spec operations ----------------------------------------------------
 
 
@@ -390,7 +429,9 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     in O(N).  Every other inner series, and every float one, runs Horner over
     truncated arithmetic, acc -> acc p with coefficient 0 set to a_i; that
     coefficient of acc p is zero because val p >= 1, so no series addition is
-    needed.
+    needed.  In exact mode acc stays integer over da dp^m after m steps (da,
+    dp the common denominators of s and p), and with i steps left only its
+    degrees up to N - i can reach x^N.
     """
     if isinstance(p, Poly):
         p = p.as_series(s.order, s.mode, s.var)
@@ -411,6 +452,15 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
             out[i * k] = coerce(s.coeffs[i]) * power
             power *= c
         return TruncatedSeries(tuple(out), s.mode, s.var)
+    if s.mode.exact:
+        a, da = _over_common(s.coeffs[: n + 1])
+        b, dp = _over_common(p.coeffs)
+        acc, scale = [a[n]], 1  # the partial sum is acc / (da * scale)
+        for i in range(n - 1, -1, -1):
+            scale *= dp
+            acc = _convolve(acc, b, n - i)
+            acc[0] = a[i] * scale
+        return TruncatedSeries(_fractions(acc, da * scale), s.mode, s.var)
     acc = TruncatedSeries.constant(s.coeffs[n], n, s.mode, s.var)
     for i in range(n - 1, -1, -1):
         acc = TruncatedSeries((coerce(s.coeffs[i]),) + (acc * p).coeffs[1:], s.mode, s.var)
@@ -424,6 +474,24 @@ def divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     if u.is_zero() or u.val() != 0:
         raise NonUnitDivisorError("divisor must have a nonzero constant term")
     n = min(a.order, u.order)
+    if a.mode.exact:
+        # a/u = (A/U) du/da over integers; Q_k = (A/U)_k u0^{k+1} is an integer:
+        # Q_k = A_k u0^k - sum_{i=1..k} Q_{k-i} U_i u0^{i-1}
+        A, da = _over_common(a.coeffs[: n + 1])
+        U, du = _over_common(u.coeffs[: n + 1])
+        u0 = U[0]
+        weights = [(i, U[i] * u0 ** (i - 1)) for i in range(1, n + 1) if U[i]]
+        Q, out, power = [], [], 1  # power = u0^k
+        for k in range(n + 1):
+            acc = A[k] * power
+            for i, w in weights:
+                if i > k:
+                    break
+                acc -= Q[k - i] * w
+            Q.append(acc)
+            power *= u0
+            out.append(Fraction(acc * du, power * da))
+        return TruncatedSeries(tuple(out), a.mode, a.var)
     with a.mode.context():
         out = []
         for k in range(n + 1):
@@ -479,6 +547,23 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
         tail = s - TruncatedSeries.constant(c0, s.order, s.mode, s.var)
         return exp_series(tail).scale(factor)
     # f = exp(s) solves f' = s' f:  n f_n = sum_{k=1..n} k s_k f_{n-k}
+    if s.mode.exact:
+        # with s = S/d and N the order, G_n = f_n d^n N! is an integer (so is
+        # f_n d^n n!), and n G_n = sum_k k S_k d^{k-1} G_{n-k} divides exactly
+        S, d = _over_common(s.coeffs)
+        weights = [(k, k * S[k] * d ** (k - 1)) for k in range(1, s.order + 1) if S[k]]
+        den = math.factorial(s.order)  # N! d^n
+        G, out = [den], [Fraction(1)]
+        for n in range(1, s.order + 1):
+            acc = 0
+            for k, w in weights:
+                if k > n:
+                    break
+                acc += w * G[n - k]
+            G.append(acc // n)
+            den *= d
+            out.append(Fraction(G[n], den))
+        return TruncatedSeries(tuple(out), s.mode, s.var)
     with s.mode.context():
         out = [s.mode.one()] + [s.mode.zero()] * s.order
         for n in range(1, s.order + 1):

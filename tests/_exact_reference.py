@@ -5,11 +5,43 @@
 on lists of residues, one mod per entry) are verbatim copies of the code that
 the one-term composition map and the Kronecker-packed kernels replaced; the
 differential tests compare the fast paths against them.
+
+``mul`` (the body of ``TruncatedSeries.__mul__`` for two series),
+``divide``, ``shift_divide`` and ``exp_series`` are verbatim copies of the
+one-``Fraction``-per-term loops that the integer kernels of
+``interlace.series`` replaced; they serve both modes.  ``compose`` multiplies
+through ``mul``, so no reference runs an integer kernel.
 """
 
-from interlace.errors import CompositionAtUnitError
+import mpmath
+
+from interlace.errors import (
+    CompositionAtUnitError,
+    NonUnitDivisorError,
+    NonzeroConstantTermError,
+    OrderExceededError,
+)
 from interlace.sat import _P, _monomial_jet
-from interlace.series import Poly, TruncatedSeries
+from interlace.series import Poly, TruncatedSeries, _is_zero
+
+
+def mul(self, other):
+    """self * other mod x^{N+1} for two series, one product per pair of terms."""
+    self._check_mode(other)
+    n = min(self.order, other.order)
+    with self.mode.context():
+        out = [self.mode.zero()] * (n + 1)
+        nonzero = [
+            (j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not _is_zero(b)
+        ]
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if _is_zero(a):
+                continue
+            for j, b in nonzero:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
+    return TruncatedSeries(tuple(out), self.mode, self.var)
 
 
 def compose(s: TruncatedSeries, p) -> TruncatedSeries:
@@ -25,8 +57,73 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     p = p.truncated(n)
     acc = TruncatedSeries.constant(s.coeffs[n], n, s.mode, s.var)
     for i in range(n - 1, -1, -1):
-        acc = acc * p + TruncatedSeries.constant(s.coeffs[i], n, s.mode, s.var)
+        acc = mul(acc, p) + TruncatedSeries.constant(s.coeffs[i], n, s.mode, s.var)
     return acc
+
+
+def divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
+    """a * u^{-1} mod x^{N+1}; u must be a unit (nonzero constant term)."""
+    u = a._promote(u)
+    a._check_mode(u)
+    if u.is_zero() or u.val() != 0:
+        raise NonUnitDivisorError("divisor must have a nonzero constant term")
+    n = min(a.order, u.order)
+    with a.mode.context():
+        out = []
+        for k in range(n + 1):
+            acc = a.coeffs[k]
+            for j in range(k):
+                acc -= out[j] * u.coeffs[k - j]
+            out.append(acc / u.coeffs[0])
+    return TruncatedSeries(tuple(out), a.mode, a.var)
+
+
+def shift_divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
+    """a / u when val(a) >= val(u) >= 0, shifting both by x^{val u}."""
+    a._check_mode(u)
+    if u.is_zero():
+        raise NonUnitDivisorError("division by the zero series")
+    v = u.val()
+    if a.is_zero():
+        n = min(a.order, u.order) - v
+        if n < 0:
+            raise OrderExceededError("shift exhausts the available order")
+        return TruncatedSeries.zero(n, a.mode, a.var)
+    if a.val() < v:
+        raise NonUnitDivisorError(
+            f"numerator valuation {a.val()} below divisor valuation {v}"
+        )
+    n = min(a.order, u.order) - v
+    if n < 0:
+        raise OrderExceededError("shift exhausts the available order")
+    a_sh = TruncatedSeries(a.coeffs[v : v + n + 1], a.mode, a.var)
+    u_sh = TruncatedSeries(u.coeffs[v : v + n + 1], u.mode, u.var)
+    return divide(a_sh, u_sh)
+
+
+def exp_series(s: TruncatedSeries) -> TruncatedSeries:
+    """exp(s) mod x^{N+1}; exact mode needs val(s) >= 1."""
+    c0 = s.constant_term()
+    if not _is_zero(c0):
+        if s.mode.exact:
+            raise NonzeroConstantTermError(
+                "exp of a series with nonzero constant term is not rational"
+            )
+        with s.mode.context():
+            factor = mpmath.e ** c0
+        tail = s - TruncatedSeries.constant(c0, s.order, s.mode, s.var)
+        return exp_series(tail).scale(factor)
+    # f = exp(s) solves f' = s' f:  n f_n = sum_{k=1..n} k s_k f_{n-k}
+    with s.mode.context():
+        out = [s.mode.one()] + [s.mode.zero()] * s.order
+        for n in range(1, s.order + 1):
+            acc = s.mode.zero()
+            for k in range(1, n + 1):
+                sk = s.coeffs[k]
+                if not _is_zero(sk):
+                    acc += k * sk * out[n - k]
+            out[n] = acc / n
+    return TruncatedSeries(tuple(out), s.mode, s.var)
 
 
 def _independent_mod_p(comps, exps_list):

@@ -262,6 +262,17 @@ def test_compiled_zero_divisor_names_subexpression_and_point():
     assert err.value.point == {"x": 2.0, "y": 3.0, "z": 1.0}
 
 
+def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors():
+    xy = ("x", "y")
+    f1, f2 = (compile_expr(parse_expr(f"x/(y - {c})", xy), xy) for c in (1, 2))
+    assert f1.__code__ is f2.__code__  # one source, compiled once
+    assert (f1((6.0, 3.0)), f2((6.0, 3.0))) == (3.0, 6.0)
+    for f, text in ((f1, "x/(y - 1)"), (f2, "x/(y - 2)")):
+        with pytest.raises(EvaluationSingularityError) as err:
+            f((1.0, float(text[-2])))
+        assert err.value.subexpr_text == text
+
+
 def test_compile_rejects_unbound_names_and_calls():
     with pytest.raises(UnknownIdentifierError):
         compile_expr(parse_expr("x + y", XYZ), ("x",))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -65,6 +67,24 @@ def test_compare_suite_ignores_only_the_timestamps(tmp_path):
     assert proc.stdout.splitlines() == [
         "pair/report.json", "pair/trajectory.csv", "stdout.txt", "3 paths differ",
     ]
+
+
+@pytest.mark.parametrize("pythonpath", [None, "decoy"])
+def test_compare_suite_imports_its_own_checkout(tmp_path, pythonpath):
+    # no PYTHONPATH, or one whose interlace fails on import: scripts/ finds ../src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if pythonpath:
+        decoy = tmp_path / pythonpath / "interlace"
+        decoy.mkdir(parents=True)
+        (decoy / "__init__.py").write_text("raise ImportError('decoy interlace')\n")
+        env["PYTHONPATH"] = str(decoy.parent)
+    old = _suite_tree(tmp_path / "old", "2020-01-01")
+    new = _suite_tree(tmp_path / "new", "2021-06-30")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_suite.py"), str(old), str(new)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "identical\n", "")
 
 
 def _load_script(name):

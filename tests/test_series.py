@@ -201,15 +201,16 @@ def stored_at(coeffs, order, mode, extra_bits):
     return TruncatedSeries(tuple(cs[: order + 1]), mode)
 
 
-def composed_or_error(fn, s, p):
+def outcome(fn, *args):
+    """Coefficients and JSON of ``fn(*args)``, or the type and text of its error."""
     try:
-        got = fn(s, p)
+        got = fn(*args)
     except InterlaceError as err:
         return type(err), str(err)
     if got.mode.exact:
         assert all(type(c) is F for c in got.coeffs)
-        return got.coeffs, got.mode, got.var
-    return [c._mpf_ for c in got.coeffs], got.mode, got.var
+        return got.coeffs, got.to_json_dict()
+    return [c._mpf_ for c in got.coeffs], got.to_json_dict()
 
 
 @given(
@@ -229,8 +230,8 @@ def test_compose_matches_horner_reference(outer, inner, s_order, p_order, precis
         s, p = S(outer, s_order, mode), S(inner, p_order, mode)
     else:
         s, p = stored_at(outer, s_order, mode, extra), stored_at(inner, p_order, mode, extra)
-    want = composed_or_error(_exact_reference.compose, s, p)
-    assert composed_or_error(compose, s, p) == want
+    want = outcome(_exact_reference.compose, s, p)
+    assert outcome(compose, s, p) == want
 
 
 @pytest.mark.parametrize("precision", [None, 64, 200])
@@ -240,8 +241,8 @@ def test_compose_with_a_monomial_matches_horner_on_the_euler_series(precision, c
     mode = EXACT if precision is None else float_mode(precision)
     s = euler_series(60, mode)
     p = S([0] * k + [c], 60, mode)
-    want = composed_or_error(_exact_reference.compose, s, p)
-    assert composed_or_error(compose, s, p) == want
+    want = outcome(_exact_reference.compose, s, p)
+    assert outcome(compose, s, p) == want
 
 
 # -- division -----------------------------------------------------------------
@@ -466,6 +467,138 @@ def test_poly_coefficients_agree_with_exact_evaluation(tree, points):
     exact = compile_expr(tree, ("x",), F)
     for q in points:
         assert sum(c * q**i for i, c in enumerate(p.coeffs)) == exact((q,))
+
+
+# -- integer kernels against the Fraction loops ---------------------------------------
+
+
+@st.composite
+def exact_series(draw, max_order=60):
+    """Exact series of order 0..max_order, dense or sparse, denominators up to 10^12.
+
+    Each series draws its denominators from a pool of up to three, so their
+    lcm stays below 10^36; the constant term is drawn, zero or negative.
+    """
+    n = draw(st.integers(0, max_order))
+    dens = draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=3))
+    coefficient = st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from(dens))
+    if draw(st.booleans()):
+        cs = draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1))
+    else:
+        cs = [F(0)] * (n + 1)
+        for i, c in draw(st.dictionaries(st.integers(0, n), coefficient, max_size=5)).items():
+            cs[i] = c
+    head = draw(st.sampled_from(["drawn", "zero", "negative"]))
+    if head == "zero":
+        cs[0] = F(0)
+    elif head == "negative":
+        cs[0] = -abs(cs[0]) or F(-1, dens[0])
+    return S(cs, n)
+
+
+@given(exact_series(), exact_series())
+@settings(max_examples=150, deadline=None)
+def test_integer_product_matches_fraction_loop(a, b):
+    assert outcome(TruncatedSeries.__mul__, a, b) == outcome(_exact_reference.mul, a, b)
+
+
+@given(exact_series(), exact_series())
+@settings(max_examples=150, deadline=None)
+def test_integer_division_matches_fraction_loop(a, u):
+    # a drawn zero constant term in u checks the non-unit error
+    assert outcome(divide, a, u) == outcome(_exact_reference.divide, a, u)
+
+
+@given(exact_series(), exact_series(), st.integers(0, 4), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_integer_shift_division_matches_fraction_loop(a, u, v, shift_a):
+    u = S([F(0)] * v + list(u.coeffs), u.order + v)
+    if shift_a:  # val a >= v: a quotient exists when u's drawn head is nonzero
+        a = S([F(0)] * v + list(a.coeffs), a.order + v)
+    assert outcome(shift_divide, a, u) == outcome(_exact_reference.shift_divide, a, u)
+
+
+@given(exact_series())
+@settings(max_examples=100, deadline=None)
+def test_integer_exponential_matches_fraction_loop(s):
+    # a drawn nonzero constant term checks the irrational-constant error
+    assert outcome(exp_series, s) == outcome(_exact_reference.exp_series, s)
+
+
+@given(exact_series(max_order=40), exact_series(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_integer_horner_matches_fraction_loop(s, p, unit):
+    if not unit:
+        p = S((F(0),) + p.coeffs[1:], p.order)
+    assert outcome(compose, s, p) == outcome(_exact_reference.compose, s, p)
+
+
+def test_kernel_errors_match_fraction_loops():
+    a, non_unit = S([1, 2, 3], 5), S([0, 1], 5)
+    cases = [
+        (divide, _exact_reference.divide, (a, non_unit)),
+        (shift_divide, _exact_reference.shift_divide, (S([1, 1], 5), non_unit)),
+        (exp_series, _exact_reference.exp_series, (S([F(-1, 3), 1], 5),)),
+        (compose, _exact_reference.compose, (a, S([F(-2), 1, 1], 5))),
+    ]
+    for fn, ref, args in cases:
+        got = outcome(fn, *args)
+        assert issubclass(got[0], InterlaceError)
+        assert got == outcome(ref, *args)
+
+
+_FLOAT_KERNELS = {
+    "mul": (TruncatedSeries.__mul__, _exact_reference.mul),
+    "compose": (compose, _exact_reference.compose),
+    "divide": (divide, _exact_reference.divide),
+    "shift_divide": (shift_divide, _exact_reference.shift_divide),
+    "exp_series": (exp_series, _exact_reference.exp_series),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_FLOAT_KERNELS))
+def test_float_kernels_are_the_fraction_loops(kernel):
+    fn, ref = _FLOAT_KERNELS[kernel]
+    mode = float_mode(113)
+    a = S([F(-3, 7), F(1, 3), 0, F(5, 11), F(-2, 9)] * 6, 29, mode)
+    b = S([0, F(2, 3), F(-1, 5), 0, F(7, 13)] * 6, 29, mode)
+    args = {"mul": (a, b), "compose": (a, b), "exp_series": (a,)}.get(kernel, (b, a))
+    assert outcome(fn, *args) == outcome(ref, *args)
+
+
+# -- closed forms beyond the suite's orders ----------------------------------------------
+
+
+_ORACLE_SERIES = [
+    euler_series(80),
+    S([0, F(3, 7), F(-5, 12), 0, F(10**12 - 1, 10**12), F(-1, 6)], 80),
+    S([0] + [F((-1) ** i * i, 2 * i + 1) for i in range(1, 81)], 80),
+]
+
+
+@pytest.mark.parametrize("s", _ORACLE_SERIES, ids=["euler", "sparse", "dense"])
+def test_exp_of_minus_s_inverts_exp_of_s(s):
+    assert exp_series(s) * exp_series(-s) == S([1], 80)
+
+
+@pytest.mark.parametrize("u", [S([1], 80) + _ORACLE_SERIES[0], S([F(-2, 3)], 80) + _ORACLE_SERIES[2]])
+@pytest.mark.parametrize("a", _ORACLE_SERIES, ids=["euler", "sparse", "dense"])
+def test_quotient_times_divisor_is_the_dividend(a, u):
+    assert divide(a, u) * u == a
+
+
+def test_euler_series_at_x_plus_x_squared_solves_its_equation():
+    # x^2 E' = E - x gives p^2 F' = (F - p) p' for F = E(p)
+    p = S([0, 1, 1], 80)
+    f = compose(euler_series(80), p)
+    p79 = p.truncated(79)
+    assert p79 * p79 * derive(f) == (f - p) * derive(p)
+    assert f.coeffs[:5] == (0, 1, 2, 4, 13)  # p + p^2 + 2p^3 + 6p^4
+
+
+def test_exp_of_x_has_inverse_factorial_coefficients():
+    got = exp_series(x_series(80))
+    assert got.coeffs == tuple(F(1, math.factorial(n)) for n in range(81))
 
 
 # -- valuation & misc ---------------------------------------------------------------------
