@@ -9,8 +9,17 @@ runs once in each checkout, one process at a time: odd seeds run PARENT
 first, even seeds CHANGE first, so a drift in host speed does not favour one
 side.  For every end-to-end metric of PARENT's ``BENCHMARK.json`` the script
 prints the parent's median [q1, q3], the change's median and in how many
-pairs the change was better.  A run that exits non-zero or prints no result
-is reported and left out of its pair.
+pairs the change was better, and then two flags:
+
+- ``gain_rule_met``: the change was better in at least 9 of every 10 pairs
+  (a tie counts for neither side), and its median beats the parent's by
+  more than the parent's interquartile range;
+- ``within_bound``: the change's median is no worse than the parent's by
+  more than the metric's ``bound``, read as a fraction of the parent's
+  median.
+
+A run that exits non-zero or prints no result is reported and left out of
+its pair.
 
 ``--out`` writes the raw runs and the summary under ``workloads.W`` of a
 JSON file, keeping the other workloads already in that file.
@@ -32,14 +41,16 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds=None):
     """Per-metric summary of paired runs.
 
     ``runs`` is a list of ``{"seed", "parent", "change"}`` where each side is
     a dict of metric values, or None for a failed run.  ``better`` maps a
-    metric name to "higher" or "lower".  Pairs with a failed side are left
-    out of the medians and of the win count.
+    metric name to "higher" or "lower", and ``bounds`` a metric name to its
+    allowed relative loss; ``within_bound`` is None for a metric without one.
+    Pairs with a failed side are left out of the medians and of the win count.
     """
+    bounds = bounds or {}
     pairs = [r for r in runs if r["parent"] is not None and r["change"] is not None]
     if not pairs:
         return {name: {"pairs": 0} for name in better}
@@ -52,11 +63,17 @@ def summarize(runs, better):
         for side, values in (("parent", parent), ("change", change)):
             q1, median, q3 = quartiles(values)
             stats[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        gap = stats["change"]["median"] - stats["parent"]["median"]
+        gain = gap if direction == "higher" else -gap  # > 0 when the change is better
+        bound = bounds.get(name)
         out[name] = {
             **stats,
             "change_better_pairs": wins,
             "pairs": len(pairs),
-            "median_gap": stats["change"]["median"] - stats["parent"]["median"],
+            "median_gap": gap,
+            "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > stats["parent"]["iqr"],
+            "within_bound": None if bound is None
+            else -gain <= bound * abs(stats["parent"]["median"]),
         }
     return out
 
@@ -72,6 +89,7 @@ def format_summary(workload, summary, failed):
             f"  {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
             f" -> change {c['median']:.4g}; change better in {s['change_better_pairs']}/{s['pairs']}"
         )
+        lines.append(f"    gain_rule_met: {s['gain_rule_met']}, within_bound: {s['within_bound']}")
     return "\n".join(lines)
 
 
@@ -108,6 +126,7 @@ def main(argv=None):
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     runs, environment = [], None
     for seed in args.seeds:
         sides = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -118,7 +137,7 @@ def main(argv=None):
         runs.append(run)
         print(f"  seed {seed} done", file=sys.stderr)
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     failed = sum(r[side] is None for r in runs for side in ("parent", "change"))
     print(format_summary(args.workload, summary, failed))
     if args.out:

@@ -86,10 +86,16 @@ class WindingResult:
         return self.thetas[-1] - self.thetas[0]
 
     def to_json_dict(self, max_samples=4096):
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be at least 1, got {max_samples}")
         xs, th = list(self.xs), list(self.thetas)
         if len(xs) > max_samples:
-            step = (len(xs) - 1) / (max_samples - 1)  # as np.linspace(...).round()
-            idx = [round(i * step) for i in range(max_samples - 1)] + [len(xs) - 1]
+            # as np.linspace(0, n - 1, max_samples).round(): one sample is the first
+            if max_samples == 1:
+                idx = [0]
+            else:
+                step = (len(xs) - 1) / (max_samples - 1)
+                idx = [round(i * step) for i in range(max_samples - 1)] + [len(xs) - 1]
             xs = [xs[i] for i in idx]
             th = [th[i] for i in idx]
         return {"total_turns": self.total_turns, "total_angle": self.total_angle,

@@ -318,6 +318,10 @@ def evaluate_mp(node, env, prec=160):
 def compile_expr(node, names, const=float, calls=None):
     """Straight-line Python function of a sequence of values, one per ``names`` entry.
 
+    A pair ``(name, rest)`` with ``rest`` a tuple of names gives the shape
+    ``f(x, y)`` of a right-hand side instead: the first value on its own, the
+    others as one sequence.
+
     The tree is emitted once as Python source, one statement per operation
     in the post-order a recursive evaluation would take, and compiled; the
     code object is cached by its source, which holds generated names only.  A
@@ -332,13 +336,14 @@ def compile_expr(node, names, const=float, calls=None):
     naming the sub-expression, and the point when its values are numbers; a
     series divisor without constant term raises NonUnitDenominatorError.
 
-    Only generated names reach the source (``_v0`` for the first entry of
-    ``names``, ``_t3`` for a temporary, ``_g2`` for a global); constants,
-    exponents, calls and the trees behind error messages are bound through
-    the function's globals.
+    Only generated names reach the source (``_v0`` for the first name,
+    ``_t3`` for a temporary, ``_g2`` for a global); constants, exponents,
+    calls and the trees behind error messages are bound through the
+    function's globals.
     """
     names = tuple(names)
-    gen = _Codegen(names, const, calls)
+    split = len(names) == 2 and isinstance(names[1], tuple)
+    gen = _Codegen((names[0], *names[1]) if split else names, const, calls, split)
     if isinstance(node, tuple):
         result = "(" + "".join(gen.emit(n) + ", " for n in node) + ")"
     else:
@@ -352,8 +357,9 @@ _OPERATORS = {"+": "+", "-": "-", "*": "*"}
 class _Codegen:
     """Source lines for ``compile_expr``, one temporary per distinct sub-expression."""
 
-    def __init__(self, names, const, calls):
+    def __init__(self, names, const, calls, split):
         self.names, self.const, self.calls = names, const, calls
+        self.split = split  # f(_v0, _a) rather than f(_a)
         self.lines = []
         self.local = {}  # structural key -> name holding that value
         self.subexprs = subexprs = []  # trees named by the error paths, by index
@@ -436,9 +442,10 @@ class _Codegen:
             self.nonzero.add(divisor)
         if divisor not in self.nonzero:
             self.nonzero.add(divisor)
+            point = "(_v0, *_a)" if self.split else "_a"  # every value, in ``names`` order
             self.lines += [
                 f"if {divisor} == 0:",
-                f"    raise _singular({len(self.subexprs) - 2}, _a)",
+                f"    raise _singular({len(self.subexprs) - 2}, {point})",
             ]
         self.lines += [
             "try:",
@@ -449,9 +456,10 @@ class _Codegen:
         return name
 
     def function(self, result):
-        unpack = "".join(f"_v{i}, " for i in range(len(self.names)))
+        first, params = (1, "_v0, _a") if self.split else (0, "_a")
+        unpack = "".join(f"_v{i}, " for i in range(first, len(self.names)))
         body = ([f"{unpack}= _a"] if unpack else []) + self.lines + [f"return {result}"]
-        source = "def _compiled(_a):\n" + "".join(f"    {line}\n" for line in body)
+        source = f"def _compiled({params}):\n" + "".join(f"    {line}\n" for line in body)
         exec(_code(source), self.globals)
         return self.globals.pop("_compiled")
 

@@ -61,9 +61,23 @@ class VectorField3:
         return tuple(_expr.to_text(c) for c in self.components)
 
 
+class _RightHandSide:
+    """``rhs``: on an instance the generated ``f(x, y)`` itself, one call per stage.
+
+    On the class it stays callable as ``(system, x, y)``, like a method, so
+    a subclass can override it and a class-level wrapper can wrap it.
+    """
+
+    def __get__(self, system, owner=None):
+        return self if system is None else system._compiled
+
+    def __call__(self, system, x, y):
+        return system._compiled(x, y)
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
-    """y1' = f1(x, y1, y2), y2' = f2(x, y1, y2)."""
+    """y1' = f1(x, y1, y2), y2' = f2(x, y1, y2); ``rhs(x, (y1, y2))`` is (f1, f2)."""
 
     f1: object
     f2: object
@@ -82,11 +96,9 @@ class ReducedSystem:
 
     @cached_property
     def _compiled(self):
-        return _expr.compile_expr((self.f1, self.f2), REDUCED_VARS)
+        return _expr.compile_expr((self.f1, self.f2), (REDUCED_VARS[0], REDUCED_VARS[1:]))
 
-    def rhs(self, x, y):
-        y1, y2 = y
-        return self._compiled((x, float(y1), float(y2)))
+    rhs = _RightHandSide()
 
     @property
     def dimension(self):
@@ -100,7 +112,8 @@ class DifferenceSystem:
     f3 and f4 equal f_i(x, y+z) - f_i(x, y), built by ``difference_system``
     as divided differences in which every term carries z1 or z2.  They keep
     the gap's relative accuracy at any gap size, down to the float range, in
-    plain float64.
+    plain float64.  ``rhs(x, (y1, y2, z1, z2))`` is (f1, f2, f3, f4), one
+    generated function sharing their common sub-expressions.
     """
 
     f1: object
@@ -111,11 +124,10 @@ class DifferenceSystem:
 
     @cached_property
     def _compiled(self):
-        return _expr.compile_expr((self.f1, self.f2, self.f3, self.f4), DIFFERENCE_VARS)
+        trees = (self.f1, self.f2, self.f3, self.f4)
+        return _expr.compile_expr(trees, (DIFFERENCE_VARS[0], DIFFERENCE_VARS[1:]))
 
-    def rhs(self, x, y):
-        y1, y2, z1, z2 = y
-        return self._compiled((x, float(y1), float(y2), float(z1), float(z2)))
+    rhs = _RightHandSide()
 
     @property
     def dimension(self):

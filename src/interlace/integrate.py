@@ -6,15 +6,18 @@ stored derivatives.  When the run spans more than two decades the right-hand
 side is integrated in s = log x by default (steps then measure the approach
 rate to 0), a heuristic exposed as a flag.
 
-The step loop runs on plain Python floats, since the state has only 2 or 4
-components; at the end ``solve`` transposes its rows into one float column
-per component, and dense output reads those columns one scalar x at a time.
-One step (seven right-hand-side stages, the 5th- and 4th-order solutions and
-the error norm) is Python source unrolled over the components, generated
-once per dimension and log substitution (``_kernel``); it calls the system's
-``rhs`` for every stage.  Step-size control stays in ``_dopri5``.  The order
-of floating-point operations is fixed so that results equal the numpy loop
-the scalar loop replaced (kept as a reference in the tests) bit for bit.
+The whole integration runs on plain Python floats, since the state has
+only 2 or 4 components.  It is one function of Python source unrolled over
+the components and generated once per dimension and log substitution
+(``_kernel``): step-size control, the seven right-hand-side stages of each
+step, the 5th- and 4th-order solutions and the error norm.  Each stage is
+one Python call, ``system.rhs(x, y)``, which is the system's generated
+straight-line function itself (``field``); a subclass or a class-level
+wrapper of ``rhs`` is reached the same way.  Accepted knots go straight
+into one list per component, which ``solve`` turns into float columns;
+dense output reads those columns one scalar x at a time.  The order of
+floating-point operations is fixed so that results equal the numpy loop the
+generated code replaced (kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
@@ -183,20 +186,19 @@ def solve(ivp: IVP) -> Trajectory:
     t0 = math.log(ivp.x_start) if logsub else ivp.x_start
     t1 = math.log(ivp.x_end) if logsub else ivp.x_end
 
-    ts, us, dus, stats = _dopri5(ivp.system.rhs, t0, t1, tuple(float(v) for v in ivp.y0),
-                                 ivp.rtol, atol, ivp.max_steps, logsub)
+    ts, cols, dcols, n_steps, n_rejected, max_err = _kernel(ivp.system.dimension, logsub)(
+        ivp.system.rhs, t0, t1, tuple(float(v) for v in ivp.y0), ivp.rtol, atol, ivp.max_steps)
 
     xs = array("d", map(math.exp, ts) if logsub else ts)  # the stage points
     xs[0], xs[-1] = ivp.x_start, ivp.x_end  # guard endpoint rounding
-    cols = [array("d", c) for c in zip(*us)]
-    # store derivatives with respect to x in either case
-    dcols = [array("d", [d / x for d, x in zip(c, xs)] if logsub else c) for c in zip(*dus)]
+    if logsub:  # store derivatives with respect to x in either case
+        dcols = [[d / x for d, x in zip(c, xs)] for c in dcols]
     meta = {
         "rtol": ivp.rtol,
         "atol": min(atol),
-        "n_steps": stats["n_steps"],
-        "n_rejected": stats["n_rejected"],
-        "max_error_ratio": stats["max_err"],
+        "n_steps": n_steps,
+        "n_rejected": n_rejected,
+        "max_error_ratio": max_err,
         "log_substitution": logsub,
     }
     return Trajectory(xs, cols, dcols, meta)
@@ -229,76 +231,24 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
     return traj.slice([0, 1]), traj.slice([2, 3])
 
 
-def _dopri5(rhs, t0, t1, y0, rtol, atol, max_steps, logsub):
-    # step control; the stages and the error norm are in the generated kernel
-    first, step = _kernel(len(y0), logsub)
-    sign = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t = t0
-    y = y0
-    k1 = first(rhs, t, y)
-    h = sign * min(span / 100.0, _initial_step(t0, y, k1, rtol, atol, logsub))
-
-    ts, ys, dys = [t], [y], [k1]
-    n_steps = n_rejected = 0
-    max_err = 0.0
-
-    while sign * (t1 - t) > 0:
-        used = n_steps + n_rejected
-        if used >= max_steps:
-            raise MaxStepsError("step budget exhausted", last_x=_to_x(t, logsub))
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        x_here = _to_x(t, logsub)
-        h_floor = STEP_UNDERFLOW_FACTOR * (abs(x_here) if not logsub else 1.0)
-        if abs(h) < h_floor:
-            # a last step shorter than the floor is rounding, not stiffness:
-            # the run has reached t1 (solve pins the last knot to x_end)
-            if n_steps and abs(t1 - t) < h_floor:
-                break
-            raise StiffnessError("step size underflow", last_x=x_here)
-        # progress projection: creeping toward a singular point can hold h
-        # above the underflow floor while never finishing; give up once even
-        # 8x the remaining budget cannot cover the remaining span
-        if used % 64 == 0 and used > 256:
-            if abs(h) * 8 * (max_steps - used) < abs(t1 - t):
-                raise StiffnessError(
-                    "step size collapsed: projected step count exceeds the budget",
-                    last_x=x_here,
-                )
-
-        y5, k7, err = step(rhs, t, h, y, k1, rtol, atol)
-        if err <= 1.0:
-            t = t + h
-            y = y5
-            k1 = k7  # FSAL
-            ts.append(t)
-            ys.append(y)
-            dys.append(k1)
-            n_steps += 1
-            max_err = max(max_err, err)
-            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            n_rejected += 1
-            factor = max(0.1, 0.9 * err ** -0.2)
-        h *= factor
-
-    stats = {"n_steps": n_steps, "n_rejected": n_rejected, "max_err": max_err}
-    return ts, ys, dys, stats
-
-
 @functools.cache
 def _kernel(dim, logsub):
-    """``first(rhs, t, y)`` -> k1 and ``step(rhs, t, h, y, k1, rtol, atol)`` -> (y5, k7, err).
+    """``dopri5(rhs, t, t1, y, rtol, atol, max_steps)``, the whole integration from t to t1.
 
     Python source unrolled over ``dim`` components, generated once per
-    (dimension, log substitution).  Every stage goes through ``_stage_lines``,
-    which does what one right-hand-side evaluation needs: map t to x, call
-    ``rhs``, turn its failures into solver errors with that stage's x, check
-    finiteness and scale by x under the substitution.  The order of
-    floating-point operations is fixed: a stage sum is 0 + a_1 k_1 + a_2 k_2
-    + ... in tableau order before y + h*sum, zero coefficients left out, and
-    the error mean adds left to right, as np.mean does below 8 terms.
+    (dimension, log substitution): step-size control, the seven stages of
+    each step, the 5th- and 4th-order solutions and the error norm.  It
+    returns (ts, cols, dcols, n_steps, n_rejected, max_err): the accepted
+    points, and one list per component of the values and of the derivatives
+    in t there.
+
+    Every stage goes through ``_stage_lines``, which does what one
+    right-hand-side evaluation needs: map t to x, call ``rhs``, turn its
+    failures into solver errors with that stage's x, check finiteness and
+    scale by x under the substitution.  The order of floating-point
+    operations is fixed: a stage sum is 0 + a_1 k_1 + a_2 k_2 + ... in
+    tableau order before y + h*sum, zero coefficients left out, and the
+    error mean adds left to right, as np.mean does below 8 terms.
     """
     comps = range(dim)
 
@@ -318,8 +268,10 @@ def _kernel(dim, logsub):
     def state(values):
         return "(" + "".join(f"{v}, " for v in values) + ")"
 
-    first = _stage_lines(vec("k1"), "t", "y", logsub) + [f"return {state(vec('k1'))}"]
-    step = [unpack(vec("y"), "y"), unpack(vec("k1"), "k1"), unpack(vec("atol"), "atol")]
+    x_here = "exp(t)" if logsub else "t"
+    # the underflow floor scales with |x|; in s = log x it is the factor itself
+    h_floor = "STEP_UNDERFLOW_FACTOR" + ("" if logsub else " * abs(t)")
+    step = []
     for s in range(1, 6):
         step += _stage_lines(vec(f"k{s + 1}"), at(_C[s]), state(combine(_A[s], i) for i in comps),
                              logsub)
@@ -344,52 +296,100 @@ def _kernel(dim, logsub):
             f"    r_{i} = 1e300",
         ]
     squares = "".join(f" + r_{i} * r_{i}" for i in comps)
-    step += [
-        f"err = sqrt((0.0{squares}) / {dim})",
-        f"return {state(vec('y5'))}, {state(vec('k7'))}, err",
+    step.append(f"err = sqrt((0.0{squares}) / {dim})")
+
+    body = [unpack(vec("y"), "y"), unpack(vec("atol"), "atol")]
+    body += _stage_lines(vec("k1"), "t", "y", logsub)
+    body += [
+        "sign = 1.0 if t1 > t else -1.0",
+        "span = abs(t1 - t)",
+        f"k1 = {state(vec('k1'))}",
+        f"h = sign * min(span / 100.0, initial_step(t, y, k1, rtol, atol, {logsub}))",
+        "ts = [t]",
+        *(f"c_{i} = [y_{i}]" for i in comps),
+        *(f"d_{i} = [k1_{i}]" for i in comps),
+        "n_steps = n_rejected = 0",
+        "max_err = 0.0",
+        "while sign * (t1 - t) > 0:",
     ]
-    source = "".join(
-        f"def {header}:\n" + "".join(f"    {line}\n" for line in body)
-        for header, body in (("first(rhs, t, y)", first),
-                             ("step(rhs, t, h, y, k1, rtol, atol)", step))
-    )
+    loop = [
+        "used = n_steps + n_rejected",
+        "if used >= max_steps:",
+        f'    raise MaxStepsError("step budget exhausted", last_x={x_here})',
+        "if abs(h) > abs(t1 - t):",
+        "    h = t1 - t",
+        f"h_floor = {h_floor}",
+        "if abs(h) < h_floor:",
+        # a last step shorter than the floor is rounding, not stiffness:
+        # the run has reached t1 (solve pins the last knot to x_end)
+        "    if n_steps and abs(t1 - t) < h_floor:",
+        "        break",
+        f'    raise StiffnessError("step size underflow", last_x={x_here})',
+        # progress projection: creeping toward a singular point can hold h
+        # above the underflow floor while never finishing; give up once even
+        # 8x the remaining budget cannot cover the remaining span
+        "if used % 64 == 0 and used > 256:",
+        "    if abs(h) * 8 * (max_steps - used) < abs(t1 - t):",
+        "        raise StiffnessError(",
+        '            "step size collapsed: projected step count exceeds the budget",',
+        f"            last_x={x_here},",
+        "        )",
+        *step,
+        "if err <= 1.0:",
+        "    t = t + h",
+        *(f"    y_{i} = y5_{i}" for i in comps),
+        *(f"    k1_{i} = k7_{i}  # FSAL" for i in comps),
+        "    ts.append(t)",
+        *(f"    c_{i}.append(y_{i})" for i in comps),
+        *(f"    d_{i}.append(k1_{i})" for i in comps),
+        "    n_steps += 1",
+        "    max_err = max(max_err, err)",
+        "    factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))",
+        "else:",
+        "    n_rejected += 1",
+        "    factor = max(0.1, 0.9 * err ** -0.2)",
+        "h *= factor",
+    ]
+    body += [f"    {line}" for line in loop]
+    body.append(f"return ts, {state(vec('c'))}, {state(vec('d'))}, n_steps, n_rejected, max_err")
+    source = "def dopri5(rhs, t, t1, y, rtol, atol, max_steps):\n" + "".join(
+        f"    {line}\n" for line in body)
     namespace = {
         "exp": math.exp, "sqrt": math.sqrt, "inf": math.inf,
+        "initial_step": _initial_step, "STEP_UNDERFLOW_FACTOR": STEP_UNDERFLOW_FACTOR,
         "EvaluationSingularityError": EvaluationSingularityError,
         "AdaptedChartError": AdaptedChartError, "BlowUpError": BlowUpError,
+        "MaxStepsError": MaxStepsError, "StiffnessError": StiffnessError,
     }
     exec(compile(source, f"<dopri5 kernel, dimension {dim}>", "exec"), namespace)
-    return namespace["first"], namespace["step"]
+    return namespace["dopri5"]
 
 
 def _stage_lines(out, t, y, logsub):
     """Kernel lines setting the names ``out`` to the right-hand side at (t, y).
 
-    ``rhs`` returns Python floats, as ``ReducedSystem.rhs`` and
-    ``DifferenceSystem.rhs`` do, so its values enter the stage sums as they are.
+    ``rhs`` is ``system.rhs`` as read from the instance, normally the
+    system's generated function itself, so a stage is one call.  It returns
+    Python floats, so its values enter the stage sums as they are.
     """
     return [
         f"x = exp({t})" if logsub else f"x = {t}",
         "try:",
         f"    {''.join(f'{k}, ' for k in out)}= rhs(x, {y})",
-        "except EvaluationSingularityError as err:",
-        "    raise AdaptedChartError(str(err), last_x=x) from err",
-        "except (OverflowError, FloatingPointError) as err:",
-        "    raise BlowUpError(str(err), last_x=x) from err",
+        "except EvaluationSingularityError as exc:",
+        "    raise AdaptedChartError(str(exc), last_x=x) from exc",
+        "except (OverflowError, FloatingPointError) as exc:",
+        "    raise BlowUpError(str(exc), last_x=x) from exc",
         # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
         f"if {' + '.join(f'({k} - {k})' for k in out)} != 0.0:",
         '    raise BlowUpError("non-finite right-hand side", last_x=x)',
-    ] + ([f"{', '.join(out)} = {', '.join(f'{k} * x' for k in out)}"] if logsub else [])
+    ] + ([f"{k} = {k} * x" for k in out] if logsub else [])
 
 
 def _check_finite(name, values):
     for k, v in enumerate(values, start=1):
         if not math.isfinite(v):
             raise ValueError(f"{name} component {k} is not finite: {v}")
-
-
-def _to_x(t, logsub):
-    return math.exp(t) if logsub else t
 
 
 def _initial_step(t0, y, k1, rtol, atol, logsub):

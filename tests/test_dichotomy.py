@@ -261,6 +261,19 @@ def test_winding_samples_match_numpy_linspace(max_samples):
         assert result.to_json_dict(max_samples)["x"] == want, n
 
 
+def test_winding_samples_at_the_smallest_counts():
+    result = WindingResult((0.5, 0.4, 0.3), (0.0, 1.0, 2.0), 0.0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_samples must be at least 1"):
+            result.to_json_dict(bad)
+    # np.linspace(0, 2, 1) is [0.0]: one sample is the first, two are the ends
+    assert result.to_json_dict(1)["x"] == [0.5] and result.to_json_dict(1)["theta"] == [0.0]
+    assert result.to_json_dict(2)["x"] == [0.5, 0.3] and result.to_json_dict(2)["theta"] == [0.0, 2.0]
+    for n in (2, 3, 10):
+        ramp = WindingResult(tuple(map(float, range(n))), (0.0,) * n, 0.0)
+        assert ramp.to_json_dict(1)["x"] == np.linspace(0, n - 1, 1).round().astype(int).tolist()
+
+
 def test_default_winding_samples_match_numpy_linspace():
     for n in (4097, 4098, 5000, 8191, 8192, 10000, 12288):
         result = WindingResult(tuple(map(float, range(n))), (0.0,) * n, 0.0)

@@ -250,6 +250,17 @@ def test_nonlinear_pair_matches_the_closed_form_gap():
             assert e2 == pytest.approx(closed_form(x, -g / 2), rel=1e-8, abs=0.0)
 
 
+def test_rhs_at_a_singular_point_names_the_whole_point_in_order():
+    planar = ReducedSystem.from_text("y1/(x - y2)", "y2")
+    for system, y in ((planar, (2.0, 0.5)), (difference_system(planar), (2.0, 0.5, 0.25, 0.125))):
+        with pytest.raises(EvaluationSingularityError) as err:
+            system.rhs(0.5, y)
+        assert err.value.subexpr_text == "y1/(x - y2)"
+        names = ("x", "y1", "y2", "z1", "z2")[: 1 + len(y)]
+        assert err.value.point == dict(zip(names, (0.5, *y)))
+        assert str(err.value).endswith(f"at {dict(zip(names, (0.5, *y)))}")
+
+
 def test_difference_system_small_gap_is_cancellation_free():
     # float64 subtraction would return garbage at this gap scale
     r = chart_reduce(XI1)

@@ -1,6 +1,8 @@
 """Adaptive integration: closed-form oracles, dense output, error taxonomy."""
 
+import copy
 import io
+import itertools
 import math
 from array import array
 from dataclasses import fields, replace
@@ -232,10 +234,13 @@ def test_ivp_validation():
 # _reference_solve, _reference_dopri5 and _reference_initial_step are the
 # numpy implementation of ``solve``'s right-hand-side wrapper, step loop and
 # first step size, unchanged apart from names, comments, the rule that a
-# remaining span below the underflow floor ends the run, and log-substituted
+# remaining span below the underflow floor ends the run, log-substituted
 # knots taken with math.exp (np.exp may round differently, depending on the
-# CPU); _reference_solve returns the numpy arrays that a Trajectory was
-# built from before.  The scalar loop must reproduce them bit for bit.
+# CPU), and the state handed to ``rhs`` as Python floats, as ``solve``
+# hands it (the system's generated function computes on whatever numbers it
+# is given, numpy scalars included); _reference_solve returns the numpy
+# arrays that a Trajectory was built from before.  The generated loop must
+# reproduce them bit for bit.
 
 
 def _reference_solve(ivp):
@@ -252,7 +257,7 @@ def _reference_solve(ivp):
     def f(t, u):
         x = math.exp(t) if logsub else t
         try:
-            vals = rhs(x, u)
+            vals = rhs(x, u.tolist())
         except EvaluationSingularityError as err:
             raise AdaptedChartError(str(err), last_x=x) from err
         except (OverflowError, FloatingPointError) as err:
@@ -284,7 +289,10 @@ def _reference_solve(ivp):
 
 def _reference_dopri5(f, t0, t1, y0, rtol, atol, max_steps, logsub):
     _A, _B4, _B5, _C = integrate._A, integrate._B4, integrate._B5, integrate._C
-    _to_x = integrate._to_x
+
+    def _to_x(t, logsub):
+        return math.exp(t) if logsub else t
+
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     t = t0
@@ -434,6 +442,93 @@ def test_last_step_below_the_underflow_floor_ends_like_numpy_reference():
     assert last(traj) == pytest.approx([1 / 1.99, 0.01], rel=1e-8)
 
 
+def _pair_ivp(ivp, eps0):
+    """The four-dimensional IVP that ``solve_pair(ivp, eps0)`` integrates."""
+    return replace(ivp, system=difference_system(ivp.system), y0=tuple(ivp.y0) + tuple(eps0),
+                   atol_overrides=(None, None, 0.0, 0.0))
+
+
+# each way the step loop gives up: f1 (f2 = y2/x), x_start, x_end, y0, IVP
+# keywords, the error type and the start of its message
+_FAILURE_PATHS = {
+    "budget": ("(y1-x)/x^2", 0.5, 0.02, (1.0, 2.0), {"max_steps": 25},
+               MaxStepsError, "step budget exhausted"),
+    "collapsed": ("y1/x^3", 1.0, 0.001, (1.0, 1.0), {"max_steps": 20000},
+                  StiffnessError, "step size collapsed"),
+    "underflow": ("y1", 1.0, 0.999999999999999, (1.0, 1.0), {},
+                  StiffnessError, "step size underflow"),
+    "blow-up": ("-y1/x^2", 1.0, 0.001, (1e300, 1.0), {},
+                BlowUpError, "non-finite right-hand side"),
+}
+
+
+@pytest.mark.parametrize("path", list(_FAILURE_PATHS))
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # numpy reference stages overflow
+def test_failure_paths_match_numpy_reference(path, log_substitution, dimension):
+    # in the plane through solve, and in four dimensions through solve_pair
+    f1, x_start, x_end, y0, kwargs, expected, message = _FAILURE_PATHS[path]
+    ivp = IVP(sys2(f1), x_start, x_end, y0, log_substitution=log_substitution, **kwargs)
+    if dimension == 2:
+        got, reference_ivp = _failure(solve, ivp), ivp
+    else:
+        eps0 = (1e-3, 0.0)
+        got, reference_ivp = _failure(lambda i: solve_pair(i, eps0), ivp), _pair_ivp(ivp, eps0)
+    assert got[0] is expected and got[1].startswith(message)
+    assert got == _failure(_reference_solve, reference_ivp)
+
+
+def _stalling_copy(system, after):
+    """``system`` as a subclass whose right-hand side is 1e200 from call ``after`` on."""
+    calls = itertools.count(1)
+
+    class Stalling(type(system)):
+        def rhs(self, x, y):
+            out = super().rhs(x, y)
+            return out if next(calls) < after else (1e200,) * len(out)
+
+    return Stalling(**{f.name: getattr(system, f.name) for f in fields(system)})
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.parametrize("log_substitution", [True, False])
+def test_step_size_underflow_mid_run_matches_numpy_reference(dimension, log_substitution):
+    # from call 100 on every step is rejected, so h shrinks tenfold per
+    # attempt and falls below the floor well inside the run
+    ivp = replace(_registry_ivp("rotating", log_substitution=log_substitution), y0=(1.0, 0.5))
+    if dimension == 4:
+        ivp = _pair_ivp(ivp, (0.1, 0.0))
+    got = _failure(solve, replace(ivp, system=_stalling_copy(ivp.system, 100)))
+    want = _failure(_reference_solve, replace(ivp, system=_stalling_copy(ivp.system, 100)))
+    assert got[0] is StiffnessError and got[1].startswith("step size underflow")
+    assert got == want
+    assert ivp.x_end < got[2] < ivp.x_start
+
+
+def test_a_step_with_error_ratio_exactly_one_is_accepted():
+    # k1 .. k6 are zero and k7 = (1, 1): y5 = y = 0 and y4 = h * (1/40), and
+    # the first step from x = 1 with y = 0 is h = -1e-6, so an absolute
+    # tolerance of |y4| makes each component's error ratio exactly 1
+    h = -1e-6
+    tol = abs(h * (0.0 + integrate._B4[6] * 1.0))
+
+    def scripted():
+        calls = itertools.count(1)
+
+        class Scripted(ReducedSystem):
+            def rhs(self, x, y):
+                return (1.0, 1.0) if next(calls) == 7 else (0.0, 0.0)
+
+        return Scripted(EULER.f1, EULER.f2)
+
+    ivp = IVP(scripted(), 1.0, 0.5, (0.0, 0.0), atol=tol)
+    traj = solve(ivp)
+    assert traj.xs[1] == 1.0 + h
+    assert traj.meta["max_error_ratio"] == 1.0 and traj.meta["n_rejected"] == 0
+    _assert_same_trajectory(traj, _reference_solve(replace(ivp, system=scripted())))
+
+
 _COMPONENT = st.one_of(st.just(0.0), st.floats(-1e12, 1e12, allow_nan=False),
                        st.floats(-1e-150, 1e-150, allow_nan=False))
 
@@ -558,6 +653,65 @@ def test_every_stage_calls_the_system_rhs(monkeypatch):
         assert calls[0] == 1 + 6 * attempted
         total += calls[0]
     assert total == 61628  # the pair_tight workload at seed 0
+
+
+# -- the rhs contract: one call per stage, still a method on the class --------
+
+
+def _same_bits(a, b):
+    return (a.xs.tobytes(), [c.tobytes() for c in a.cols + a.dcols], a.meta) == (
+        b.xs.tobytes(), [c.tobytes() for c in b.cols + b.dcols], b.meta)
+
+
+@pytest.mark.parametrize("make", [lambda s: s, difference_system], ids=["planar", "difference"])
+def test_instance_rhs_is_the_generated_function(make):
+    system = make(EULER)
+    assert system.rhs is system._compiled
+    assert system.rhs.__code__.co_filename == "<compile_expr>"
+    y = (0.3, -0.2, 1e-3, 2e-3)[: system.dimension]
+    assert type(system).rhs(system, 0.25, y) == system.rhs(0.25, y)
+    assert type(system).rhs(system, 0.25, y) == system._compiled(0.25, y)
+
+
+@pytest.mark.parametrize("make", [lambda s: s, difference_system], ids=["planar", "difference"])
+def test_subclass_override_and_class_patch_reach_the_kernel(monkeypatch, make):
+    system = make(EULER)
+    ivp = IVP(system, 0.5, 0.1, (1.0, 2.0, 1e-3, 0.0)[: system.dimension])
+    want = solve(ivp)
+    attempted = want.meta["n_steps"] + want.meta["n_rejected"]
+    calls = []
+
+    class Counting(type(system)):
+        def rhs(self, x, y):
+            calls.append(x)
+            return super().rhs(x, y)
+
+    sub = Counting(**{f.name: getattr(system, f.name) for f in fields(system)})
+    assert _same_bits(solve(replace(ivp, system=sub)), want)
+    assert len(calls) == 1 + 6 * attempted
+
+    calls.clear()
+    original = type(system).rhs
+
+    def counting(self, x, y):
+        calls.append(x)
+        return original(self, x, y)
+
+    monkeypatch.setattr(type(system), "rhs", counting)
+    assert _same_bits(solve(ivp), want)
+    assert len(calls) == 1 + 6 * attempted
+
+
+def test_copies_of_a_system_integrate_to_the_same_bits():
+    ivp = _registry_ivp("rotating", rtol=1e-12, atol=1e-14)
+    pair_ivp = _pair_ivp(ivp, (0.3, -0.2))
+    for base in (ivp, pair_ivp):
+        want = solve(base)  # compiles, and caches, the original's function
+        for system in (copy.copy(base.system), replace(base.system)):
+            assert _same_bits(solve(replace(base, system=system)), want)
+    gamma, eps = solve_pair(replace(ivp, system=copy.copy(ivp.system)), (0.3, -0.2))
+    joint = solve(pair_ivp)
+    assert _same_bits(gamma, joint.slice([0, 1])) and _same_bits(eps, joint.slice([2, 3]))
 
 
 # -- scalar dense output against the numpy interpolant it replaced -----------

@@ -126,3 +126,64 @@ def test_bench_pairs_edge_cases():
     assert bench.parse_seeds("3") == [3]
     failed = [{"seed": 1, "parent": None, "change": {"ops_per_s": 1.0}}]
     assert bench.summarize(failed, {"ops_per_s": "higher"}) == {"ops_per_s": {"pairs": 0}}
+
+
+def _paired(parent, change, name="ops_per_s"):
+    return [{"seed": s, "parent": {name: p}, "change": {name: c}}
+            for s, (p, c) in enumerate(zip(parent, change), start=1)]
+
+
+def test_bench_pairs_gain_rule_on_synthetic_runs():
+    bench = _load_script("bench_pairs")
+    parent = [5.0, 5.2, 5.4, 5.6, 5.8, 6.0, 6.2, 6.4, 6.6, 6.8]  # iqr 0.9
+    higher = {"ops_per_s": "higher"}
+
+    def rule(change, parent=parent, better=higher):
+        return bench.summarize(_paired(parent, change, *better), better)[next(iter(better))]
+
+    # 10 wins by 1.0 each: a median gap of 1.0 beats the iqr of 0.9
+    assert rule([p + 1.0 for p in parent])["gain_rule_met"] is True
+    # 9 of 10 still meets the rule; 8 of 10, or 8 wins and two ties, do not
+    nine = rule([p + 1.5 for p in parent[:9]] + [parent[9] - 0.1])
+    assert (nine["change_better_pairs"], nine["median_gap"] > 0.9, nine["gain_rule_met"]) == (
+        9, True, True)
+    eight = rule([p + 1.5 for p in parent[:8]] + [p - 0.1 for p in parent[8:]])
+    assert (eight["change_better_pairs"], eight["median_gap"] > 0.9, eight["gain_rule_met"]) == (
+        8, True, False)
+    tie = rule([p + 1.5 for p in parent[:9]] + [parent[9]])
+    assert (tie["change_better_pairs"], tie["gain_rule_met"]) == (9, True)
+    tie = rule([p + 1.5 for p in parent[:8]] + [parent[8], parent[9]])
+    assert (tie["change_better_pairs"], tie["gain_rule_met"]) == (8, False)
+    # every pair wins, but by less than the parent's spread
+    small = rule([p + 0.5 for p in parent])
+    assert (small["change_better_pairs"], small["gain_rule_met"]) == (10, False)
+    # lower is better: the gap is read the other way round
+    lower = {"op_p50_s": "lower"}
+    assert rule([p - 1.0 for p in parent], better=lower)["gain_rule_met"] is True
+    assert rule([p + 1.0 for p in parent], better=lower)["gain_rule_met"] is False
+
+
+def test_bench_pairs_bound_rule_on_synthetic_runs():
+    bench = _load_script("bench_pairs")
+    parent = [4.0] * 5
+    better = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+    bounds = {"ops_per_s": 0.25, "peak_rss_mb": 0.1}
+
+    def flags(ops, rss):
+        runs = [{"seed": s, "parent": {"ops_per_s": 4.0, "peak_rss_mb": 40.0},
+                 "change": {"ops_per_s": ops, "peak_rss_mb": rss}} for s in range(len(parent))]
+        summary = bench.summarize(runs, better, bounds)
+        return summary["ops_per_s"]["within_bound"], summary["peak_rss_mb"]["within_bound"]
+
+    assert flags(3.0, 44.0) == (True, True)  # exactly at the bound on both
+    assert flags(2.9, 44.5) == (False, False)
+    assert flags(9.0, 10.0) == (True, True)  # better is always within
+    # no bound declared: no verdict
+    assert bench.summarize(_paired(parent, parent), {"ops_per_s": "higher"})[
+        "ops_per_s"]["within_bound"] is None
+    text = bench.format_summary("pair_tight", bench.summarize(
+        _paired(parent, [3.0] * 5), {"ops_per_s": "higher"}, bounds), failed=0)
+    assert text.splitlines()[1:] == [
+        "  ops_per_s: parent 4 [4, 4] -> change 3; change better in 0/5",
+        "    gain_rule_met: False, within_bound: True",
+    ]
