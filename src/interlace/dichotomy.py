@@ -11,15 +11,25 @@ used and the raw quantities it saw.  Conventions:
   total_turns = (theta(x_end) - theta(x_start)) / 2 pi;
 * the sign census counts strict sign changes of expressions in
   (x, y1, y2, z1, z2) along the pair, localizing each crossing by bisection.
+
+Both passes read the trajectories' float columns directly: the raw angles
+are one ``map(atan2)`` over the two gap columns, and each census expression
+is one generated function mapped over the zipped columns, so no list of
+row tuples is built.  Dense output is called only between knots: by the
+winding's refinement, and once per census midpoint for all four components.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
 import math
+import operator
 from dataclasses import asdict, dataclass
+from itertools import compress, repeat
 
 from . import expr as _expr
-from .errors import ZeroEpsilonError
+from .errors import BlowUpError, ZeroEpsilonError
 from .field import DIFFERENCE_VARS
 
 TWO_PI = 2.0 * math.pi
@@ -110,44 +120,63 @@ def winding(eps, max_increment=math.pi / 2, max_refinement=48) -> WindingResult:
     The gap must not vanish at any sample.
     """
     xs = list(eps.xs)
-    raw = [_angle_of(v, x) for v, x in zip(zip(*eps.cols), xs)]
+    e1, e2 = eps.cols[0], eps.cols[1]
+    raw = list(map(math.atan2, e2, e1))
+    if 0.0 in e1:  # the first sample where both components vanish, if any
+        for x, a, b in zip(xs, e1, e2):
+            if a == 0.0 and b == 0.0:
+                raise _vanishing(x)
 
-    # refine intervals whose raw angle jump is too coarse
-    i = 0
-    while i + 1 < len(xs):
-        depth = 0
-        while _gap(raw[i], raw[i + 1]) >= max_increment:
-            if depth >= max_refinement:
-                raise ZeroEpsilonError(
-                    f"cannot resolve the angle near x = {xs[i + 1]!r}; "
-                    "the gap curve may pass through the origin"
-                )
-            mid = 0.5 * (xs[i] + xs[i + 1])
-            raw.insert(i + 1, _angle_of(eps(mid), mid))
-            xs.insert(i + 1, mid)
-            depth += 1
-        i += 1
+    # refine intervals whose raw angle jump is too coarse, in grid order
+    pi = math.pi
+    coarse = [i for i, (a, b) in enumerate(zip(raw, raw[1:]))
+              if abs((b - a + pi) % TWO_PI - pi) >= max_increment]
+    inserted = 0
+    for i in coarse:
+        inserted += _refine(eps, xs, raw, i + inserted, max_increment, max_refinement)
 
-    thetas = [raw[0]]
-    for i in range(1, len(xs)):
-        d = _gap_signed(thetas[-1], raw[i])
-        thetas.append(thetas[-1] + d)
+    theta = raw[0]
+    thetas = [theta]
+    for r in raw[1:]:
+        theta += (r - theta + pi) % TWO_PI - pi
+        thetas.append(theta)
     total_turns = (thetas[-1] - thetas[0]) / TWO_PI
     return WindingResult(tuple(xs), tuple(thetas), total_turns)
 
 
-def _angle_of(v, x):
-    if v[0] == 0.0 and v[1] == 0.0:
-        raise ZeroEpsilonError(f"gap curve vanishes at x = {x!r}; direction undefined")
-    return math.atan2(v[1], v[0])
+def _refine(eps, xs, raw, i, max_increment, max_refinement):
+    """Bisect the interval xs[i] .. xs[i + 1] in place; the count of samples inserted.
+
+    Each sub-interval, from the left, is halved toward its left end until
+    its raw angle increment drops below ``max_increment``: at most
+    ``max_refinement`` times, and never below the spacing of floats.
+    """
+    end = first = i + 1
+    pi = math.pi
+    while i < end:
+        depth = 0
+        while abs((raw[i + 1] - raw[i] + pi) % TWO_PI - pi) >= max_increment:
+            mid = 0.5 * (xs[i] + xs[i + 1])
+            # an interval too short to halve cannot resolve the angle either;
+            # halving it again would repeat the same interval without end
+            if depth >= max_refinement or not xs[i] > mid > xs[i + 1]:
+                raise ZeroEpsilonError(
+                    f"cannot resolve the angle near x = {xs[i + 1]!r}; "
+                    "the gap curve may pass through the origin"
+                )
+            a, b = eps(mid)[:2]
+            if a == 0.0 and b == 0.0:
+                raise _vanishing(mid)
+            raw.insert(i + 1, math.atan2(b, a))
+            xs.insert(i + 1, mid)
+            depth += 1
+            end += 1
+        i += 1
+    return end - first
 
 
-def _gap(a, b):
-    return abs(_gap_signed(a, b))
-
-
-def _gap_signed(a, b):
-    return (b - a + math.pi) % TWO_PI - math.pi
+def _vanishing(x):
+    return ZeroEpsilonError(f"gap curve vanishes at x = {x!r}; direction undefined")
 
 
 @dataclass(frozen=True)
@@ -171,77 +200,89 @@ class CensusEntry:
 def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
     """Strict sign changes of each expression along the pair, crossings bisected.
 
-    Samples are the stored knots of the shared grid (dense output there
-    returns the knot rows bit for bit); dense output is used only between
-    knots, by the bisection.  ``window`` restricts to [x_lo, x_hi].  For
+    Samples are the stored knots of the shared grid, read column by column
+    (dense output there returns the knot values bit for bit); dense output
+    is used only between knots, by the bisection, one call per midpoint for
+    all four components.  ``window`` restricts to [x_lo, x_hi].  For
     one-signed expressions the fitted slope of log|f| against log x over the
     window is reported as a lower-bound exponent diagnostic (a power-law
-    floor candidate).
+    floor candidate).  A value that overflows the float range raises
+    BlowUpError naming the expression and the x.
     """
     if gamma.xs != eps.xs:
         raise ValueError("the census needs gamma and eps on one grid")
-    rows = list(zip(gamma.xs, *gamma.cols, *eps.cols))
+    cols = (gamma.xs, *gamma.cols, *eps.cols)
     if window is not None:
         lo, hi = window
-        rows = [row for row in rows if lo <= row[0] <= hi]
-    if len(rows) < 2:
+        keep = [lo <= x <= hi for x in gamma.xs]
+        cols = [list(compress(c, keep)) for c in cols]
+    xs = cols[0]
+    if len(xs) < 2:
         raise ValueError("census window holds fewer than two samples")
-    xs = [row[0] for row in rows]
+    joint = copy.copy(gamma)  # one dense-output call gives all four components
+    joint.cols, joint.dcols = gamma.cols + eps.cols, gamma.dcols + eps.dcols
 
+    dx = None  # log x minus its mean, shared by every decay fit
     entries = []
     for e in exprs:
         tree = e if not isinstance(e, str) else _expr.parse_expr(e, DIFFERENCE_VARS)
         text = _expr.to_text(tree)
-        f = _expr.compile_expr(tree, DIFFERENCE_VARS)
-        fvals = [f(row) for row in rows]
-        crossings = []
-        changes = 0
-        last_sign = 0
-        for i, v in enumerate(fvals):
-            s = _sign(v)
-            if s == 0:
-                continue
-            if last_sign != 0 and s != last_sign:
-                changes += 1
-                if i > 0:
-                    crossings.append(_bisect_crossing(
-                        f, gamma, eps, xs[i - 1], fvals[i - 1], xs[i], refine_rel
-                    ))
-            last_sign = s
+        f = _expr.compile_expr(tree, DIFFERENCE_VARS, label=f"census {text}")
+        fvals = []
+        try:
+            fvals.extend(map(f, zip(*cols)))  # keeps the values before a failure
+        except OverflowError as exc:
+            raise _overflow(text, xs[len(fvals)]) from exc
+        pos = map(operator.gt, fvals, repeat(0.0))
+        neg = map(operator.lt, fvals, repeat(0.0))
+        signs = list(map(operator.sub, pos, neg))  # _sign of each value; NaN has none
+        signed = list(compress(range(len(signs)), signs))  # the samples with a sign
+        seen = [signs[i] for i in signed]
+        flips = list(compress(signed[1:], map(operator.ne, seen, seen[1:])))
+        crossings = tuple(
+            _bisect_crossing(f, text, joint, xs[i - 1], signs[i - 1], xs[i], refine_rel)
+            for i in flips
+        )
         decay = None
-        if changes == 0 and all(v != 0 for v in fvals):
-            logx = [math.log(x) for x in xs]
-            logf = [math.log(abs(v)) for v in fvals]
-            mx, mf = math.fsum(logx) / len(xs), math.fsum(logf) / len(xs)
-            denom = math.fsum((a - mx) * (a - mx) for a in logx)
+        if not flips and 0.0 not in fvals:
+            if dx is None:
+                logx = list(map(math.log, xs))
+                mx = math.fsum(logx) / len(xs)
+                dx = [a - mx for a in logx]
+                denom = math.fsum(map(operator.mul, dx, dx))
+            logf = list(map(math.log, map(abs, fvals)))
+            mf = math.fsum(logf) / len(xs)
             if denom > 0:
-                decay = math.fsum((a - mx) * (b - mf) for a, b in zip(logx, logf)) / denom
+                decay = math.fsum(map(operator.mul, dx, [b - mf for b in logf])) / denom
         entries.append(
-            CensusEntry(text, changes, last_sign, tuple(crossings), decay)
+            CensusEntry(text, len(flips), seen[-1] if seen else 0, crossings, decay)
         )
     return entries
-
-
-def _dense_value(f, gamma, eps, x):
-    return f((x, *gamma(x), *eps(x)))
 
 
 def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _bisect_crossing(f, gamma, eps, x_hi, f_hi, x_lo, refine_rel):
-    # trajectory grids are decreasing: x_hi > x_lo
+def _bisect_crossing(f, text, joint, x_hi, s_hi, x_lo, refine_rel):
+    # trajectory grids are decreasing: x_hi > x_lo, and s_hi is the sign at x_hi
     while (x_hi - x_lo) > refine_rel * x_hi:
         mid = 0.5 * (x_hi + x_lo)
-        f_mid = _dense_value(f, gamma, eps, mid)
-        if _sign(f_mid) == 0:
+        try:
+            s_mid = _sign(f((mid, *joint(mid))))
+        except OverflowError as exc:
+            raise _overflow(text, mid) from exc
+        if s_mid == 0:
             return mid
-        if _sign(f_mid) == _sign(f_hi):
-            x_hi, f_hi = mid, f_mid
+        if s_mid == s_hi:
+            x_hi = mid
         else:
             x_lo = mid
     return 0.5 * (x_hi + x_lo)
+
+
+def _overflow(text, x):
+    return BlowUpError(f"census expression {text!r} overflows the float range", last_x=x)
 
 
 @dataclass(frozen=True)
@@ -317,7 +358,12 @@ def classify(contact, winding_result, census, thresholds=Thresholds(), x_end=Non
 
 
 def _monotone_tail(w, x_lo, x_hi):
-    th = [theta for x, theta in zip(w.xs, w.thetas) if x_lo <= x <= x_hi]
+    if not x_lo <= x_hi:  # an empty window, NaN bounds included
+        return False
+    # winding samples run from large x to small, so the window is one slice
+    start = bisect.bisect_left(w.xs, -x_hi, key=operator.neg)
+    stop = bisect.bisect_right(w.xs, -x_lo, key=operator.neg)
+    th = w.thetas[start:stop]
     if len(th) < 3:
         return False
     diffs = [b - a for a, b in zip(th, th[1:])]

@@ -104,7 +104,7 @@ class MaxStepsError(StiffnessError):
 
 
 class BlowUpError(SolverError):
-    """Solution value overflowed."""
+    """A solution value, or a census value along it, overflowed."""
 
 
 class AdaptedChartError(SolverError):

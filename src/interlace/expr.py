@@ -14,11 +14,13 @@ Precedence is the standard one: ^  >  unary -  >  * /  >  + -.  A literal
 ``p/q`` between two integer tokens folds to a single rational constant; all
 other structure is kept verbatim so that parse -> print -> parse is stable.
 
-``compile_expr`` is the one evaluator of these trees, over four algebras:
+``straight_line`` is the one evaluator of these trees, over four algebras:
 float, Fraction, ``series.Poly`` and ``TruncatedSeries``.  It emits a
-tree, or a tuple of trees, as straight-line Python source with one temporary
-per distinct sub-expression and compiles it once; the source holds only
-generated names, never text from the tree.
+tuple of trees as straight-line Python statements with one temporary per
+distinct sub-expression, which a host compiles inside a function of its own:
+``compile_expr`` wraps them as one function, and ``integrate`` inlines them
+into every stage of its step kernel.  The source holds only generated names,
+never text from the tree.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import numbers
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,19 +318,19 @@ def evaluate_mp(node, env, prec=160):
         return f(tuple(mpmath.mpf(env[n]) for n in names))
 
 
-def compile_expr(node, names, const=float, calls=None):
+def compile_expr(node, names, const=float, calls=None, label="_compiled"):
     """Straight-line Python function of a sequence of values, one per ``names`` entry.
 
     A pair ``(name, rest)`` with ``rest`` a tuple of names gives the shape
     ``f(x, y)`` of a right-hand side instead: the first value on its own, the
     others as one sequence.
 
-    The tree is emitted once as Python source, one statement per operation
-    in the post-order a recursive evaluation would take, and compiled; the
-    code object is cached by its source, which holds generated names only.  A
-    sub-expression that occurs more than once is computed once, at its first
-    occurrence.  ``node`` may be a tuple of trees: the function then returns
-    the tuple of their values, sharing what they have in common.
+    The tree is emitted once as Python source by ``straight_line`` and
+    compiled; the code object is cached by its source, which holds generated
+    names only, and by ``label``, the function's code name, which keeps
+    functions of one source apart in a profile.  ``node`` may be a tuple of
+    trees: the function then returns the tuple of their values, sharing what
+    they have in common.
 
     Arithmetic uses the values' own operators: float, mpf, Fraction,
     ``series.Poly`` or ``series.TruncatedSeries``.  ``const`` maps literals
@@ -335,31 +338,54 @@ def compile_expr(node, names, const=float, calls=None):
     it a call is rejected.  A zero divisor raises EvaluationSingularityError
     naming the sub-expression, and the point when its values are numbers; a
     series divisor without constant term raises NonUnitDenominatorError.
-
-    Only generated names reach the source (``_v0`` for the first name,
-    ``_t3`` for a temporary, ``_g2`` for a global); constants, exponents,
-    calls and the trees behind error messages are bound through the
-    function's globals.
     """
     names = tuple(names)
     split = len(names) == 2 and isinstance(names[1], tuple)
-    gen = _Codegen((names[0], *names[1]) if split else names, const, calls, split)
+    flat = (names[0], *names[1]) if split else names
+    trees = node if isinstance(node, tuple) else (node,)
+    lines, results, namespace = straight_line(trees, flat, const, calls)
+    first, params = (1, "_v0, _a") if split else (0, "_a")
+    unpack = "".join(f"_v{i}, " for i in range(first, len(flat)))
     if isinstance(node, tuple):
-        result = "(" + "".join(gen.emit(n) + ", " for n in node) + ")"
+        result = "(" + "".join(f"{r}, " for r in results) + ")"
     else:
-        result = gen.emit(node)
-    return gen.function(result)
+        (result,) = results
+    body = ([f"{unpack}= _a"] if unpack else []) + lines + [f"return {result}"]
+    source = f"def _compiled({params}):\n" + "".join(f"    {line}\n" for line in body)
+    return generated_function(source, label, namespace)
+
+
+def straight_line(trees, names, const=float, calls=None, series=True):
+    """(lines, results, globals): statements computing each of ``trees``.
+
+    The statements read the value of ``names[i]`` from the local ``_vi``, set
+    one temporary ``_tN`` per distinct sub-expression, in the post-order a
+    recursive evaluation would take and at its first occurrence, and leave
+    each tree's value in the name ``results[k]``.  A host runs them inside a
+    function of its own whose globals include ``globals``; ``compile_expr``
+    is one such host and the integration kernel another.  Only generated
+    names reach the lines (``_v0`` for the first name, ``_t3`` for a
+    temporary, ``_g2`` for a global); constants, exponents, calls and the
+    trees behind error messages are bound through the globals.
+
+    A zero divisor raises EvaluationSingularityError before it is used.
+    ``series=False`` leaves out the guard that reports a series divisor
+    without constant term, for hosts that only ever compute on floats.
+    """
+    gen = _Codegen(tuple(names), const, calls, series)
+    results = [gen.emit(tree) for tree in trees]
+    return gen.lines, results, gen.globals
 
 
 _OPERATORS = {"+": "+", "-": "-", "*": "*"}
 
 
 class _Codegen:
-    """Source lines for ``compile_expr``, one temporary per distinct sub-expression."""
+    """Source lines for ``straight_line``, one temporary per distinct sub-expression."""
 
-    def __init__(self, names, const, calls, split):
+    def __init__(self, names, const, calls, series):
         self.names, self.const, self.calls = names, const, calls
-        self.split = split  # f(_v0, _a) rather than f(_a)
+        self.series = series  # guard divisions against non-unit series divisors
         self.lines = []
         self.local = {}  # structural key -> name holding that value
         self.subexprs = subexprs = []  # trees named by the error paths, by index
@@ -433,41 +459,45 @@ class _Codegen:
         if key in self.local:
             return self.local[key]
         name = self.local[key] = f"_t{len(self.local)}"
-        if guard is None:
+        if guard is not None:
+            divisor, node, den = guard
+            self.subexprs += [node, den]
+            if divisor in self.globals and not self.globals[divisor] == 0:
+                self.nonzero.add(divisor)
+            if divisor not in self.nonzero:
+                self.nonzero.add(divisor)
+                point = "(" + "".join(f"_v{i}, " for i in range(len(self.names))) + ")"
+                self.lines += [
+                    f"if {divisor} == 0:",
+                    f"    raise _singular({len(self.subexprs) - 2}, {point})",
+                ]
+        if guard is None or not self.series:
             self.lines.append(f"{name} = {value}")
-            return name
-        divisor, node, den = guard
-        self.subexprs += [node, den]
-        if divisor in self.globals and not self.globals[divisor] == 0:
-            self.nonzero.add(divisor)
-        if divisor not in self.nonzero:
-            self.nonzero.add(divisor)
-            point = "(_v0, *_a)" if self.split else "_a"  # every value, in ``names`` order
+        else:
             self.lines += [
-                f"if {divisor} == 0:",
-                f"    raise _singular({len(self.subexprs) - 2}, {point})",
+                "try:",
+                f"    {name} = {value}",
+                "except _NonUnitDivisorError:",
+                f"    raise _non_unit({len(self.subexprs) - 1}) from None",
             ]
-        self.lines += [
-            "try:",
-            f"    {name} = {value}",
-            "except _NonUnitDivisorError:",
-            f"    raise _non_unit({len(self.subexprs) - 1}) from None",
-        ]
         return name
 
-    def function(self, result):
-        first, params = (1, "_v0, _a") if self.split else (0, "_a")
-        unpack = "".join(f"_v{i}, " for i in range(first, len(self.names)))
-        body = ([f"{unpack}= _a"] if unpack else []) + self.lines + [f"return {result}"]
-        source = f"def _compiled({params}):\n" + "".join(f"    {line}\n" for line in body)
-        exec(_code(source), self.globals)
-        return self.globals.pop("_compiled")
+
+def generated_function(source, label, namespace, filename="<compile_expr>"):
+    """The one function that ``source`` defines, named ``label``, with ``namespace`` as globals.
+
+    Its code object is cached by source and label, so a function generated
+    again from the same source shares the code, and with it the
+    interpreter's specializations; the label keys its entry in a profile.
+    """
+    return types.FunctionType(_code(source, label, filename), namespace)
 
 
 @functools.lru_cache(maxsize=256)
-def _code(source):
-    """The code object of a generated source; each call still runs it in fresh globals."""
-    return compile(source, "<compile_expr>", "exec")
+def _code(source, label, filename):
+    module = compile(source, filename, "exec")
+    (code,) = (c for c in module.co_consts if isinstance(c, types.CodeType))
+    return code.replace(co_name=label)
 
 
 # -- series substitution --------------------------------------------------

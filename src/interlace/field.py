@@ -62,10 +62,13 @@ class VectorField3:
 
 
 class _RightHandSide:
-    """``rhs``: on an instance the generated ``f(x, y)`` itself, one call per stage.
+    """``rhs``: on an instance the generated ``f(x, y)`` itself.
 
     On the class it stays callable as ``(system, x, y)``, like a method, so
-    a subclass can override it and a class-level wrapper can wrap it.
+    a subclass can override it and a class-level wrapper can wrap it.  While
+    a system's class resolves ``rhs`` to this stock descriptor, ``integrate``
+    inlines the system's straight-line body into its kernel instead of
+    calling it; any other ``rhs`` is called once per stage.
     """
 
     def __get__(self, system, owner=None):
@@ -75,6 +78,11 @@ class _RightHandSide:
         return system._compiled(x, y)
 
 
+def _generated_rhs(system):
+    names = system.variables
+    return _expr.compile_expr(system.trees, (names[0], names[1:]), label=f"rhs {system.provenance}")
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     """y1' = f1(x, y1, y2), y2' = f2(x, y1, y2); ``rhs(x, (y1, y2))`` is (f1, f2)."""
@@ -82,6 +90,8 @@ class ReducedSystem:
     f1: object
     f2: object
     provenance: str = "direct"
+
+    variables = REDUCED_VARS
 
     @staticmethod
     def from_text(f1, f2, provenance="direct"):
@@ -94,10 +104,11 @@ class ReducedSystem:
     def component_texts(self):
         return (_expr.to_text(self.f1), _expr.to_text(self.f2))
 
-    @cached_property
-    def _compiled(self):
-        return _expr.compile_expr((self.f1, self.f2), (REDUCED_VARS[0], REDUCED_VARS[1:]))
+    @property
+    def trees(self):
+        return (self.f1, self.f2)
 
+    _compiled = cached_property(_generated_rhs)
     rhs = _RightHandSide()
 
     @property
@@ -122,16 +133,23 @@ class DifferenceSystem:
     f4: object
     provenance: str = "direct"
 
-    @cached_property
-    def _compiled(self):
-        trees = (self.f1, self.f2, self.f3, self.f4)
-        return _expr.compile_expr(trees, (DIFFERENCE_VARS[0], DIFFERENCE_VARS[1:]))
+    variables = DIFFERENCE_VARS
 
+    @property
+    def trees(self):
+        return (self.f1, self.f2, self.f3, self.f4)
+
+    _compiled = cached_property(_generated_rhs)
     rhs = _RightHandSide()
 
     @property
     def dimension(self):
         return 4
+
+
+def inlines_rhs(system):
+    """True when the class of ``system`` resolves ``rhs`` to the stock descriptor."""
+    return type(type(system).rhs) is _RightHandSide
 
 
 def chart_reduce(v: VectorField3) -> ReducedSystem:

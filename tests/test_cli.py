@@ -383,6 +383,15 @@ def test_identically_zero_denominators_are_numerical_failures(command, f1, capsy
     assert "Traceback" not in err
 
 
+def test_census_overflow_is_a_numerical_failure(capsys):
+    # 0.1^-400 overflows at the first knot; one line, no traceback
+    code = run(["classify-pair", "--example", "euler_pair", "--census", "z1^-400"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: census expression 'z1^-400' overflows the float range "
+                   "(last x = 0.5)\n")
+
+
 def test_field_without_three_components_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("field_components = x; y\ncurve = t,t,t\n")

@@ -1,9 +1,11 @@
 """Contact order, winding, census: closed-form oracle checks and invariances."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interlace.dichotomy import (
     Thresholds,
@@ -16,14 +18,16 @@ from interlace.dichotomy import (
     classify,
     contact_order,
     sign_census,
+    _monotone_tail,
     winding,
 )
-from interlace.errors import ZeroEpsilonError
+from interlace.errors import BlowUpError, ZeroEpsilonError
 from interlace.expr import compile_expr, parse_expr
 from interlace.field import ReducedSystem
 from interlace.integrate import IVP, Trajectory, solve_pair
 from interlace.registry import ENTRIES
 
+import _pair_reference
 from _expr_reference import evaluate
 
 
@@ -338,3 +342,151 @@ def test_pair_results_hold_python_floats(name):
     values = crossings + list(report.winding.xs) + list(report.winding.thetas)
     values += [v for p in report.contact.probes for v in (p.x, p.norm)]
     assert [type(v) for v in values if type(v) is not float] == []
+
+
+# -- the column-wise census, winding and tail test against the row-wise code --------
+
+
+_CENSUS = ["z1", "z2", "y1 - x", "z1*z2 + y2", "y1/x", "1/z1", "(z1 - 1/4)*(z1 + 1/4)"]
+
+
+def _knot_value(rng):
+    # exact zeros and repeated values half of the time
+    if rng.random() < 0.5:
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+    return rng.uniform(-10.0, 10.0)
+
+
+def _slope(rng):
+    # large slopes make the cubic between two knots cross zero twice, or swing
+    # the gap by more than a quarter turn, so the winding has to refine
+    return 0.0 if rng.random() < 0.5 else rng.uniform(-200.0, 200.0)
+
+
+@st.composite
+def _pairs(draw):
+    """A (gamma, eps) pair on one decreasing grid, census expressions and windows.
+
+    The grid size, the shape of the gap and the windows are drawn; the knot
+    values come from a drawn seed, which keeps 300-knot grids cheap to draw.
+    """
+    n = draw(st.integers(2, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    xs = [draw(st.floats(0.1, 1.0))]
+    for _ in range(n - 1):
+        xs.append(xs[-1] * rng.uniform(0.5, 0.999999))
+    cols = [[_knot_value(rng) for _ in xs] for _ in range(4)]
+    dcols = [[_slope(rng) for _ in xs] for _ in range(4)]
+    cols[2] = [v if v != 0.0 or w != 0.0 else 1.0 for v, w in zip(cols[2], cols[3])]
+    if draw(st.booleans()):  # a spiral theta = b log x, monotone in x
+        b = draw(st.floats(-4.0, 4.0))
+        theta = [b * math.log(x) for x in xs]
+        cols[2:] = [list(map(math.cos, theta)), list(map(math.sin, theta))]
+        dcols[2:] = [[-b / x * math.sin(t) for x, t in zip(xs, theta)],
+                     [b / x * math.cos(t) for x, t in zip(xs, theta)]]
+    if draw(st.integers(0, 3)) == 0:  # a gap vanishing exactly at one knot
+        k = draw(st.integers(0, n - 1))
+        cols[2][k] = cols[3][k] = 0.0
+    gamma = Trajectory(xs, cols[:2], dcols[:2])
+    eps = Trajectory(xs, cols[2:], dcols[2:])
+    exprs = draw(st.lists(st.sampled_from(_CENSUS), min_size=1, max_size=3))
+    bound = st.one_of(st.sampled_from(xs), st.floats(xs[-1] / 2, 1.5))
+    window = draw(st.sampled_from(["none", "knots", "bounds", "between"]))
+    if window == "none":
+        window = None
+    elif window == "knots":
+        window = tuple(sorted(draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2))))
+    elif window == "bounds":
+        window = draw(st.tuples(bound, bound))
+    else:  # strictly between two knots: no sample
+        i = draw(st.integers(0, n - 2))
+        mid = 0.5 * (xs[i] + xs[i + 1])
+        window = (mid, mid)
+    tail = draw(st.tuples(bound, bound))
+    return gamma, eps, exprs, window, tail
+
+
+def _outcome(fn, *args):
+    """``repr`` of the JSON form of the result, or the error's type and text."""
+    try:
+        result = fn(*args)
+    except Exception as err:  # noqa: BLE001 -- the errors themselves are compared
+        return type(err), str(err)
+    if isinstance(result, list):
+        return repr([entry.to_json_dict() for entry in result])
+    return repr(result.to_json_dict(max_samples=10**6)), result
+
+
+class _Hung(Exception):
+    """The row-wise winding spent its dense-output budget."""
+
+
+class _Budgeted(Trajectory):
+    def __call__(self, x):
+        self.budget -= 1
+        if self.budget < 0:
+            raise _Hung
+        return super().__call__(x)
+
+
+def _budgeted(traj, budget):
+    """``traj`` whose dense output raises _Hung after ``budget`` calls."""
+    part = traj.slice(range(traj.dimension))
+    part.__class__, part.budget = _Budgeted, budget
+    return part
+
+
+_UNRESOLVED = "cannot resolve the angle near x = "
+
+
+@given(_pairs())
+@settings(max_examples=400, deadline=None)
+def test_census_winding_and_tail_match_the_row_wise_code(case):
+    gamma, eps, exprs, window, tail = case
+    got = _outcome(sign_census, exprs, gamma, eps, window)
+    assert got == _outcome(_pair_reference.sign_census, exprs, gamma, eps, window)
+    got = _outcome(winding, eps)
+    want = _outcome(_pair_reference.winding, _budgeted(eps, 2000))
+    if want[0] is _Hung:
+        # a gap curve through the origin between two samples: the row-wise
+        # code halves an interval of two adjacent floats without end
+        assert got[0] is ZeroEpsilonError and got[1].startswith(_UNRESOLVED)
+        return
+    assert got[0] == want[0]
+    if isinstance(got[1], WindingResult):
+        for lo, hi in (tail, (eps.xs[-1], 10 * eps.xs[-1]), (eps.xs[-1], eps.xs[0])):
+            assert _monotone_tail(got[1], lo, hi) == _pair_reference._monotone_tail(want[1], lo, hi)
+    else:
+        assert got == want
+
+
+def test_census_overflow_names_the_expression_and_the_knot():
+    gamma, eps = euler_pair_trajectories()
+    with pytest.raises(BlowUpError) as err:
+        sign_census(["z1", "z1^-400"], gamma, eps)
+    # z1 starts at 0.1, and 0.1^-400 is beyond the float range at the first knot
+    assert err.value.last_x == 0.5
+    assert str(err.value) == (
+        "census expression 'z1^-400' overflows the float range (last x = 0.5)")
+
+
+def test_census_overflow_at_a_bisection_midpoint():
+    # z1 is 2 and -1.5 at the knots, so z1^-601 is finite and changes sign
+    # there; the first midpoint has z1 = 0.25 and 0.25^-601 overflows
+    xs = [1.0, 0.5]
+    gamma = Trajectory(xs, [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+    eps = Trajectory(xs, [[2.0, -1.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+    assert eps(0.75)[0] == 0.25
+    with pytest.raises(BlowUpError) as err:
+        sign_census(["z1^-601"], gamma, eps)
+    assert err.value.last_x == 0.75
+    assert "census expression 'z1^-601' overflows" in str(err.value)
+
+
+def test_an_interval_too_short_to_halve_is_an_error():
+    # a quarter turn between two adjacent floats: their midpoint rounds to
+    # the left knot, so halving never shortens the interval
+    eps = Trajectory([1.0, 0.9999999999999999], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+    assert 0.5 * (eps.xs[0] + eps.xs[1]) == eps.xs[0]
+    with pytest.raises(ZeroEpsilonError, match=_UNRESOLVED):
+        winding(eps)

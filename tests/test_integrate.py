@@ -20,7 +20,7 @@ from interlace.errors import (
     MaxStepsError,
     StiffnessError,
 )
-from interlace.field import DifferenceSystem, ReducedSystem, difference_system
+from interlace.field import DifferenceSystem, ReducedSystem, difference_system, inlines_rhs
 from interlace.integrate import IVP, solve, solve_pair
 from interlace.registry import ENTRIES
 from interlace.series import euler_series
@@ -620,6 +620,47 @@ def test_stage_failures_match_numpy_reference(dimension, log_substitution, failu
     want = _failure(_reference_solve, replace(ivp, system=_failing_copy(ivp.system, call, failure)))
     assert got == want
     assert got[0] is (AdaptedChartError if failure == "singular" else BlowUpError)
+
+
+def _pass_through(system):
+    """``system`` as a subclass whose ``rhs`` only forwards, so the kernel calls it per stage."""
+
+    class PassThrough(type(system)):
+        def rhs(self, x, y):
+            return super().rhs(x, y)
+
+    return PassThrough(**{f.name: getattr(system, f.name) for f in fields(system)})
+
+
+# f1 (f2 = y2/x), x_start, x_end, y0, and the error the inlined stage raises
+_INLINE_FAILURES = {
+    "zero-divisor": ("y1/(x - 1)", 1.0, 0.5, (1.0, 1.0), AdaptedChartError,
+                     "division by zero in 'y1/(x - 1)' at {'x': 1.0"),
+    "overflow": ("y1*x^-400", 1.0, 0.1, (0.0, 1.0), BlowUpError,
+                 "(34, 'Numerical result out of range')"),
+    "non-finite": ("y1*(x^-200*x^-200)", 1.0, 0.1, (0.0, 1.0), BlowUpError,
+                   "non-finite right-hand side"),
+}
+
+
+@pytest.mark.parametrize("failure", list(_INLINE_FAILURES))
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_inlined_stage_fails_as_the_called_stage(failure, log_substitution, dimension):
+    # the stock rhs is inlined into the kernel; a pass-through subclass is called
+    f1, x_start, x_end, y0, expected, message = _INLINE_FAILURES[failure]
+    ivp = IVP(sys2(f1), x_start, x_end, y0, log_substitution=log_substitution)
+    assert inlines_rhs(ivp.system)
+    assert not inlines_rhs(_pass_through(ivp.system))
+    if dimension == 2:
+        got, called = _failure(solve, ivp), ivp
+    else:
+        eps0 = (0.0, 1e-3)
+        got, called = _failure(lambda i: solve_pair(i, eps0), ivp), _pair_ivp(ivp, eps0)
+    want = _failure(solve, replace(called, system=_pass_through(called.system)))
+    assert got == want
+    assert got[0] is expected and got[1].startswith(message)
+    assert x_end < got[2] <= x_start
 
 
 def test_only_reduced_and_difference_systems_integrate():
