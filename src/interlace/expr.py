@@ -321,10 +321,6 @@ def evaluate_mp(node, env, prec=160):
 def compile_expr(node, names, const=float, calls=None, label="_compiled"):
     """Straight-line Python function of a sequence of values, one per ``names`` entry.
 
-    A pair ``(name, rest)`` with ``rest`` a tuple of names gives the shape
-    ``f(x, y)`` of a right-hand side instead: the first value on its own, the
-    others as one sequence.
-
     The tree is emitted once as Python source by ``straight_line`` and
     compiled; the code object is cached by its source, which holds generated
     names only, and by ``label``, the function's code name, which keeps
@@ -340,22 +336,19 @@ def compile_expr(node, names, const=float, calls=None, label="_compiled"):
     series divisor without constant term raises NonUnitDenominatorError.
     """
     names = tuple(names)
-    split = len(names) == 2 and isinstance(names[1], tuple)
-    flat = (names[0], *names[1]) if split else names
     trees = node if isinstance(node, tuple) else (node,)
-    lines, results, namespace = straight_line(trees, flat, const, calls)
-    first, params = (1, "_v0, _a") if split else (0, "_a")
-    unpack = "".join(f"_v{i}, " for i in range(first, len(flat)))
+    lines, results, namespace = straight_line(trees, names, const, calls)
+    unpack = "".join(f"_v{i}, " for i in range(len(names)))
     if isinstance(node, tuple):
         result = "(" + "".join(f"{r}, " for r in results) + ")"
     else:
         (result,) = results
     body = ([f"{unpack}= _a"] if unpack else []) + lines + [f"return {result}"]
-    source = f"def _compiled({params}):\n" + "".join(f"    {line}\n" for line in body)
+    source = "def _compiled(_a):\n" + "".join(f"    {line}\n" for line in body)
     return generated_function(source, label, namespace)
 
 
-def straight_line(trees, names, const=float, calls=None, series=True):
+def straight_line(trees, names, const=float, calls=None):
     """(lines, results, globals): statements computing each of ``trees``.
 
     The statements read the value of ``names[i]`` from the local ``_vi``, set
@@ -368,11 +361,11 @@ def straight_line(trees, names, const=float, calls=None, series=True):
     temporary, ``_g2`` for a global); constants, exponents, calls and the
     trees behind error messages are bound through the globals.
 
-    A zero divisor raises EvaluationSingularityError before it is used.
-    ``series=False`` leaves out the guard that reports a series divisor
-    without constant term, for hosts that only ever compute on floats.
+    A zero divisor raises EvaluationSingularityError before it is used, and
+    a series divisor without constant term raises NonUnitDenominatorError.
+    A literal that ``const`` overflows on is a ValueError naming it.
     """
-    gen = _Codegen(tuple(names), const, calls, series)
+    gen = _Codegen(tuple(names), const, calls)
     results = [gen.emit(tree) for tree in trees]
     return gen.lines, results, gen.globals
 
@@ -383,9 +376,8 @@ _OPERATORS = {"+": "+", "-": "-", "*": "*"}
 class _Codegen:
     """Source lines for ``straight_line``, one temporary per distinct sub-expression."""
 
-    def __init__(self, names, const, calls, series):
+    def __init__(self, names, const, calls):
         self.names, self.const, self.calls = names, const, calls
-        self.series = series  # guard divisions against non-unit series divisors
         self.lines = []
         self.local = {}  # structural key -> name holding that value
         self.subexprs = subexprs = []  # trees named by the error paths, by index
@@ -418,7 +410,11 @@ class _Codegen:
     def emit(self, node):
         """Emit the statements computing ``node``; return the name of its value."""
         if isinstance(node, Num):
-            return self._global(("#", type(node.value), node.value), self.const(node.value))
+            try:
+                value = self.const(node.value)
+            except OverflowError:
+                raise ValueError(f"literal {to_text(node)} is beyond the float range") from None
+            return self._global(("#", type(node.value), node.value), value)
         if isinstance(node, Var):
             if node.name not in self.names:
                 raise UnknownIdentifierError(f"no value bound for {node.name!r}")
@@ -471,7 +467,7 @@ class _Codegen:
                     f"if {divisor} == 0:",
                     f"    raise _singular({len(self.subexprs) - 2}, {point})",
                 ]
-        if guard is None or not self.series:
+        if guard is None:
             self.lines.append(f"{name} = {value}")
         else:
             self.lines += [

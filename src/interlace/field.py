@@ -61,26 +61,13 @@ class VectorField3:
         return tuple(_expr.to_text(c) for c in self.components)
 
 
-class _RightHandSide:
-    """``rhs``: on an instance the generated ``f(x, y)`` itself.
-
-    On the class it stays callable as ``(system, x, y)``, like a method, so
-    a subclass can override it and a class-level wrapper can wrap it.  While
-    a system's class resolves ``rhs`` to this stock descriptor, ``integrate``
-    inlines the system's straight-line body into its kernel instead of
-    calling it; any other ``rhs`` is called once per stage.
-    """
-
-    def __get__(self, system, owner=None):
-        return self if system is None else system._compiled
-
-    def __call__(self, system, x, y):
-        return system._compiled(x, y)
+def _rhs(system, x, y):
+    """``system.rhs(x, y)``, bound in each system class's own namespace (see ``inlines_rhs``)."""
+    return system._compiled((x, *y))
 
 
 def _generated_rhs(system):
-    names = system.variables
-    return _expr.compile_expr(system.trees, (names[0], names[1:]), label=f"rhs {system.provenance}")
+    return _expr.compile_expr(system.trees, system.variables, label=f"rhs {system.provenance}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +96,7 @@ class ReducedSystem:
         return (self.f1, self.f2)
 
     _compiled = cached_property(_generated_rhs)
-    rhs = _RightHandSide()
+    rhs = _rhs
 
     @property
     def dimension(self):
@@ -140,7 +127,7 @@ class DifferenceSystem:
         return (self.f1, self.f2, self.f3, self.f4)
 
     _compiled = cached_property(_generated_rhs)
-    rhs = _RightHandSide()
+    rhs = _rhs
 
     @property
     def dimension(self):
@@ -148,8 +135,8 @@ class DifferenceSystem:
 
 
 def inlines_rhs(system):
-    """True when the class of ``system`` resolves ``rhs`` to the stock descriptor."""
-    return type(type(system).rhs) is _RightHandSide
+    """True when the class of ``system`` resolves ``rhs`` to the stock ``_rhs``."""
+    return type(system).rhs is _rhs
 
 
 def chart_reduce(v: VectorField3) -> ReducedSystem:

@@ -12,7 +12,7 @@ the components and generated per system and log substitution (``_kernel``):
 step-size control, the seven right-hand-side stages of each step, the 5th-
 and 4th-order solutions and the error norm.  A stage evaluates the system's
 right-hand side in one of two ways, chosen from its class: where ``rhs`` is
-the stock descriptor of ``field``, the system's straight-line body
+the stock ``field._rhs``, the system's straight-line body
 (``expr.straight_line``) is inlined into the stage, with no call and no
 tuple in or out; any other ``rhs``, such as a subclass override or a
 class-level wrapper, is called once per stage.  Accepted knots go straight
@@ -250,7 +250,7 @@ def _kernel(system, logsub):
     into solver errors with that stage's x, check finiteness and scale by x
     under the substitution.  It evaluates in one of two ways, chosen from the
     system's class (``field.inlines_rhs``): where ``rhs`` is the stock
-    descriptor, the system's straight-line body is inlined into each stage;
+    ``field._rhs``, the system's straight-line body is inlined into each stage;
     any other ``rhs`` (a subclass override, a class-level wrapper) is called
     once per stage.  The order of floating-point operations is fixed: a stage
     sum is 0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum,
@@ -260,8 +260,7 @@ def _kernel(system, logsub):
     dim = system.dimension
     comps = range(dim)
     if inlines_rhs(system):
-        lines, results, namespace = _expr.straight_line(
-            system.trees, system.variables, series=False)
+        lines, results, namespace = _expr.straight_line(system.trees, system.variables)
         inline = (lines, results)
     else:
         inline, namespace = None, {"rhs": system.rhs}
@@ -387,8 +386,7 @@ def _stage_lines(out, t, y, logsub, inline):
     ``y`` holds one source expression per component.  With ``inline`` (the
     system's straight-line lines and result names) the stage binds x and the
     state to the body's inputs ``_v0``, ``_v1``, ... and runs the body in
-    place: no call and no tuple in or out.  Floats cannot raise the series
-    guard, so the body has none.  Without it the stage is one call,
+    place: no call and no tuple in or out.  Without it the stage is one call,
     ``rhs(x, state)``, to the system's ``rhs`` as read from the instance.
     Either way the values are Python floats and enter the stage sums as
     they are, and a failure maps to the same solver error with that x.

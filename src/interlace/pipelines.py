@@ -79,6 +79,8 @@ def run_invariance(config, entry=None, outdir=None):
         config.example or "inline", *config.field_components
     )
     order = config.order if config.order is not None else 30
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     curve = _build_curve(config, entry, order + 1)
     rep = invariance_check(v, curve, order)
     payload = {
@@ -265,6 +267,8 @@ def run_relations(config, entry=None, outdir=None):
     n_components = len(_split_components(config.curve)) if config.curve else 3
     monomials = _sat.monomial_exponents(n_components, config.degree)
     jet = config.jet if config.jet is not None else 2 * len(monomials)
+    if jet < 1:
+        raise ValueError(f"jet must be at least 1, got {jet}")
     order = config.order if config.order is not None else jet
     curve = _build_curve(config, entry, max(order, jet))
     basis = _sat.relation_search(curve, config.degree, jet)

@@ -17,7 +17,8 @@ denominators, the loop works on the integer numerators, and one Fraction is
 built per output coefficient at the end.  Integer arithmetic is exact and
 every Fraction is normalised on construction, so the coefficients are the
 ones the Fraction loops give, at one gcd per coefficient instead of one per
-product.  Float mode keeps its loops.
+product.  Float mode runs the product and Horner composition through the
+same loops with unit denominators.
 """
 
 from __future__ import annotations
@@ -221,17 +222,7 @@ class TruncatedSeries:
             b, db = _over_common(other.coeffs[: n + 1])
             return TruncatedSeries(_fractions(_convolve(a, b, n), da * db), self.mode, self.var)
         with self.mode.context():
-            out = [self.mode.zero()] * (n + 1)
-            nonzero = [
-                (j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not _is_zero(b)
-            ]
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if _is_zero(a):
-                    continue
-                for j, b in nonzero:
-                    if i + j > n:
-                        break
-                    out[i + j] += a * b
+            out = _convolve(self.coeffs, other.coeffs, n, self.mode.zero())
         return TruncatedSeries(tuple(out), self.mode, self.var)
 
     __rmul__ = __mul__
@@ -392,9 +383,9 @@ def _over_common(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _convolve(a, b, n):
-    """Integer coefficients of a * b up to x^n, skipping zero coefficients."""
-    out = [0] * (n + 1)
+def _convolve(a, b, n, zero=0):
+    """Coefficients of a * b up to x^n, skipping zero ones; each sum starts at ``zero``."""
+    out = [zero] * (n + 1)
     nonzero = [(j, v) for j, v in enumerate(b[: n + 1]) if v]
     for i, u in enumerate(a[: n + 1]):
         if u:
@@ -429,9 +420,10 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     in O(N).  Every other inner series, and every float one, runs Horner over
     truncated arithmetic, acc -> acc p with coefficient 0 set to a_i; that
     coefficient of acc p is zero because val p >= 1, so no series addition is
-    needed.  In exact mode acc stays integer over da dp^m after m steps (da,
-    dp the common denominators of s and p), and with i steps left only its
-    degrees up to N - i can reach x^N.
+    needed, and with i steps left only the degrees of acc up to N - i can
+    reach x^N.  In exact mode acc stays integer over da dp^m after m steps
+    (da, dp the common denominators of s and p); float mode has unit
+    denominators.
     """
     if isinstance(p, Poly):
         p = p.as_series(s.order, s.mode, s.var)
@@ -455,16 +447,18 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
     if s.mode.exact:
         a, da = _over_common(s.coeffs[: n + 1])
         b, dp = _over_common(p.coeffs)
-        acc, scale = [a[n]], 1  # the partial sum is acc / (da * scale)
+        zero = 0
+    else:
+        a, da = [coerce(c) for c in s.coeffs[: n + 1]], 1
+        b, dp, zero = p.coeffs, 1, s.mode.zero()
+    acc, scale = [a[n]], 1  # the partial sum is acc / (da * scale)
+    with s.mode.context():
         for i in range(n - 1, -1, -1):
             scale *= dp
-            acc = _convolve(acc, b, n - i)
+            acc = _convolve(acc, b, n - i, zero)
             acc[0] = a[i] * scale
-        return TruncatedSeries(_fractions(acc, da * scale), s.mode, s.var)
-    acc = TruncatedSeries.constant(s.coeffs[n], n, s.mode, s.var)
-    for i in range(n - 1, -1, -1):
-        acc = TruncatedSeries((coerce(s.coeffs[i]),) + (acc * p).coeffs[1:], s.mode, s.var)
-    return acc
+    coeffs = _fractions(acc, da * scale) if s.mode.exact else tuple(acc)
+    return TruncatedSeries(coeffs, s.mode, s.var)
 
 
 def divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:

@@ -416,19 +416,44 @@ def test_relation_degree_below_one_is_a_usage_error(degree, capsys):
     assert "transcendence evidence" not in captured.out
 
 
+_ORDER_ERRORS = {
+    "tangents": "curve order must be at least 1, got 0",
+    "invariance": "order must be at least 0, got -1",
+    "relations": "jet must be at least 1, got 0",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["tangents", "--curve", "t,t^2", "--order", "0"],
         ["invariance", "--field", "x", "y", "z", "--curve", "t,t,t", "--order", "-1"],
         ["relations", "--curve", "x,E(x)", "--deg", "1", "--jet", "0"],
+        ["invariance", "--example", "xi1", "--order", "-1"],
+        ["relations", "--curve", "x,x^2", "--deg", "2", "--jet", "0"],
     ],
 )
 def test_curve_order_below_one_is_a_usage_error(argv, capsys):
-    # each of these truncates the curve at order 0 (invariance uses --order + 1)
+    # each of these would truncate the curve at order 0 (invariance uses
+    # --order + 1); the error names the key and the value the user set
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: curve order must be at least 1, got 0\n"
+    assert err == f"error: {_ORDER_ERRORS[argv[0]]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--f1", "y1*1" + "0" * 400, "--f2", "y2", "--x-start", "0.5",
+         "--x-end", "0.2", "--y0", "1,1"],
+        ["classify-pair", "--example", "rotating", "--census", "z1*1" + "0" * 400],
+    ],
+    ids=["integrate", "census"],
+)
+def test_a_literal_beyond_the_float_range_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: literal 1{'0' * 400} is beyond the float range\n"
 
 
 @pytest.mark.parametrize(

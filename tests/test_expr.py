@@ -262,22 +262,6 @@ def test_compiled_zero_divisor_names_subexpression_and_point():
     assert err.value.point == {"x": 2.0, "y": 3.0, "z": 1.0}
 
 
-def test_split_names_take_the_first_value_apart_from_the_rest():
-    # f(x, (y, z)): the shape of a right-hand side; errors name the whole point
-    tree = parse_expr("x + y/(z - 1)", XYZ)
-    f = compile_expr((tree, Var("x"), Var("z")), ("x", ("y", "z")))
-    assert f(2.0, (3.0, 4.0)) == (3.0, 2.0, 4.0)
-    assert f(2.0, [3.0, 4.0]) == compile_expr((tree, Var("x"), Var("z")), XYZ)((2.0, 3.0, 4.0))
-    with pytest.raises(EvaluationSingularityError) as err:
-        f(2.0, (3.0, 1.0))
-    assert err.value.subexpr_text == "y/(z - 1)"
-    assert err.value.point == {"x": 2.0, "y": 3.0, "z": 1.0}
-    assert str(err.value) == "division by zero in 'y/(z - 1)' at {'x': 2.0, 'y': 3.0, 'z': 1.0}"
-    with pytest.raises(ValueError):
-        f(2.0, (3.0,))  # the rest must hold one value per name
-    assert compile_expr(Num(F(3)), ("x", ()))(7.0, ()) == 3.0
-
-
 def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors():
     xy = ("x", "y")
     f1, f2 = (compile_expr(parse_expr(f"x/(y - {c})", xy), xy) for c in (1, 2))

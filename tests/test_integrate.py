@@ -705,13 +705,22 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("make", [lambda s: s, difference_system], ids=["planar", "difference"])
-def test_instance_rhs_is_the_generated_function(make):
+def test_rhs_is_the_generated_function_and_only_the_stock_one_is_inlined(monkeypatch, make):
     system = make(EULER)
-    assert system.rhs is system._compiled
-    assert system.rhs.__code__.co_filename == "<compile_expr>"
     y = (0.3, -0.2, 1e-3, 2e-3)[: system.dimension]
-    assert type(system).rhs(system, 0.25, y) == system.rhs(0.25, y)
-    assert type(system).rhs(system, 0.25, y) == system._compiled(0.25, y)
+    want = system._compiled((0.25, *y))
+    assert system._compiled.__code__.co_filename == "<compile_expr>"
+    assert system.rhs(0.25, y) == type(system).rhs(system, 0.25, y) == want
+    assert inlines_rhs(system)
+    assert not inlines_rhs(_pass_through(system))
+
+    def wrapped(self, x, y):
+        return want
+
+    monkeypatch.setattr(type(system), "rhs", wrapped)
+    assert not inlines_rhs(system)
+    monkeypatch.undo()
+    assert inlines_rhs(system)
 
 
 @pytest.mark.parametrize("make", [lambda s: s, difference_system], ids=["planar", "difference"])

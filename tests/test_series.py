@@ -566,6 +566,37 @@ def test_float_kernels_are_the_fraction_loops(kernel):
     assert outcome(fn, *args) == outcome(ref, *args)
 
 
+@st.composite
+def float_operand(draw, mode, extra, leads):
+    """A float series of order 0-40: ``leads`` zeros, then sparse or dense coefficients."""
+    order = draw(st.integers(0, 40))
+    coeff = draw(st.sampled_from([st.one_of(st.just(F(0)), wide_fraction),
+                                  wide_fraction.filter(bool)]))
+    n = draw(st.one_of(st.just(order + 1), st.integers(1, order + 1)))
+    coeffs = [F(0)] * draw(st.sampled_from(leads)) + draw(st.lists(coeff, min_size=n, max_size=n))
+    return stored_at(coeffs[: order + 1], order, mode, extra)
+
+
+@st.composite
+def float_kernel_operands(draw):
+    """(a, b) in one mode: a mostly a unit (a divisor), b mostly not (an inner series)."""
+    mode = float_mode(draw(st.sampled_from([64, 113, 200])))
+    extra = draw(st.sampled_from([0, 40]))  # coefficients stored beyond the mode's bits
+    return (draw(float_operand(mode, extra, [0, 0, 0, 1])),
+            draw(float_operand(mode, extra, [1, 1, 2, 0])))
+
+
+@pytest.mark.parametrize("kernel", sorted(_FLOAT_KERNELS))
+@given(float_kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_float_kernels_match_the_reference_loops_bit_for_bit(kernel, operands):
+    # equal _mpf_ bits, or the same error, at any precision, order and density
+    fn, ref = _FLOAT_KERNELS[kernel]
+    a, b = operands
+    args = {"mul": (a, b), "compose": (a, b), "exp_series": (a,)}.get(kernel, (b, a))
+    assert outcome(fn, *args) == outcome(ref, *args)
+
+
 # -- closed forms beyond the suite's orders ----------------------------------------------
 
 
