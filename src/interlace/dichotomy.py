@@ -33,6 +33,7 @@ from .errors import BlowUpError, ZeroEpsilonError
 from .field import DIFFERENCE_VARS
 
 TWO_PI = 2.0 * math.pi
+CENSUS_REFINE_REL = 1e-6  # a crossing is bisected to this relative width in x
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,14 @@ class CensusEntry:
         }
 
 
-def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
+def sign_census(exprs, gamma, eps, window=None):
     """Strict sign changes of each expression along the pair, crossings bisected.
 
     Samples are the stored knots of the shared grid, read column by column
     (dense output there returns the knot values bit for bit); dense output
     is used only between knots, by the bisection, one call per midpoint for
-    all four components.  ``window`` restricts to [x_lo, x_hi].  For
+    all four components, down to a bracket of relative width
+    ``CENSUS_REFINE_REL``.  ``window`` restricts to [x_lo, x_hi].  For
     one-signed expressions the fitted slope of log|f| against log x over the
     window is reported as a lower-bound exponent diagnostic (a power-law
     floor candidate).  A value that overflows the float range raises
@@ -235,12 +237,12 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
             raise _overflow(text, xs[len(fvals)]) from exc
         pos = map(operator.gt, fvals, repeat(0.0))
         neg = map(operator.lt, fvals, repeat(0.0))
-        signs = list(map(operator.sub, pos, neg))  # _sign of each value; NaN has none
+        signs = list(map(operator.sub, pos, neg))  # the sign of each value; NaN has none
         signed = list(compress(range(len(signs)), signs))  # the samples with a sign
         seen = [signs[i] for i in signed]
         flips = list(compress(signed[1:], map(operator.ne, seen, seen[1:])))
         crossings = tuple(
-            _bisect_crossing(f, text, joint, xs[i - 1], signs[i - 1], xs[i], refine_rel)
+            _bisect_crossing(f, text, joint, xs[i - 1], signs[i - 1], xs[i])
             for i in flips
         )
         decay = None
@@ -260,18 +262,15 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
     return entries
 
 
-def _sign(v):
-    return (v > 0) - (v < 0)
-
-
-def _bisect_crossing(f, text, joint, x_hi, s_hi, x_lo, refine_rel):
+def _bisect_crossing(f, text, joint, x_hi, s_hi, x_lo):
     # trajectory grids are decreasing: x_hi > x_lo, and s_hi is the sign at x_hi
-    while (x_hi - x_lo) > refine_rel * x_hi:
+    while (x_hi - x_lo) > CENSUS_REFINE_REL * x_hi:
         mid = 0.5 * (x_hi + x_lo)
         try:
-            s_mid = _sign(f((mid, *joint(mid))))
+            v = f((mid, *joint(mid)))
         except OverflowError as exc:
             raise _overflow(text, mid) from exc
+        s_mid = (v > 0) - (v < 0)
         if s_mid == 0:
             return mid
         if s_mid == s_hi:

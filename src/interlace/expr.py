@@ -363,7 +363,8 @@ def straight_line(trees, names, const=float, calls=None):
 
     A zero divisor raises EvaluationSingularityError before it is used, and
     a series divisor without constant term raises NonUnitDenominatorError.
-    A literal that ``const`` overflows on is a ValueError naming it.
+    A literal that ``const`` overflows on, or rounds to zero though it is
+    not, is a ValueError naming it.
     """
     gen = _Codegen(tuple(names), const, calls)
     results = [gen.emit(tree) for tree in trees]
@@ -414,6 +415,8 @@ class _Codegen:
                 value = self.const(node.value)
             except OverflowError:
                 raise ValueError(f"literal {to_text(node)} is beyond the float range") from None
+            if node.value and value == 0:  # a float flushed a nonzero literal to zero
+                raise ValueError(f"literal {to_text(node)} is below the float range")
             return self._global(("#", type(node.value), node.value), value)
         if isinstance(node, Var):
             if node.name not in self.names:
@@ -479,19 +482,19 @@ class _Codegen:
         return name
 
 
-def generated_function(source, label, namespace, filename="<compile_expr>"):
+def generated_function(source, label, namespace):
     """The one function that ``source`` defines, named ``label``, with ``namespace`` as globals.
 
     Its code object is cached by source and label, so a function generated
     again from the same source shares the code, and with it the
     interpreter's specializations; the label keys its entry in a profile.
     """
-    return types.FunctionType(_code(source, label, filename), namespace)
+    return types.FunctionType(_code(source, label), namespace)
 
 
 @functools.lru_cache(maxsize=256)
-def _code(source, label, filename):
-    module = compile(source, filename, "exec")
+def _code(source, label):
+    module = compile(source, "<compile_expr>", "exec")
     (code,) = (c for c in module.co_consts if isinstance(c, types.CodeType))
     return code.replace(co_name=label)
 

@@ -171,8 +171,9 @@ def _delta(node):
 
     Divided-difference arithmetic (Reps & Rall, HOSC 16, 2003):
     Δ(ab) = Δa b(y+z) + a Δb, Δ(a/b) = (Δa b - a Δb)/(b b(y+z)), and Δ(a^n)
-    is Δa times the geometric sum of a(y+z)^k a^(n-1-k).  A nonzero literal
-    divisor c gives 1/c Δa, which rounds as the expanded quotient did.
+    is Δa times the geometric sum of a(y+z)^k a^(n-1-k).  A literal divisor c
+    whose reciprocal is a finite nonzero float gives 1/c Δa, which rounds as
+    the expanded quotient did; any other keeps Δa / c.
     """
     if isinstance(node, _expr.Var) and node.name in _GAPS:
         gap = _GAPS[node.name]
@@ -200,7 +201,7 @@ def _delta(node):
     if op == "*":
         return _add(_mul(da, b1), _mul(a, db)), shifted
     if db is None:
-        if isinstance(b, _expr.Num) and b.value != 0:
+        if isinstance(b, _expr.Num) and _float_reciprocal(b.value):
             return _expr.BinOp("*", _expr.Num(1 / b.value), da), shifted
         return _expr.BinOp("/", da, b), shifted
     if da is None:
@@ -208,6 +209,14 @@ def _delta(node):
     else:
         num = _expr.BinOp("-", _expr.BinOp("*", da, b), _expr.BinOp("*", a, db))
     return _expr.BinOp("/", num, _expr.BinOp("*", b, b1)), shifted
+
+
+def _float_reciprocal(c):
+    """True when 1/c is a finite nonzero float."""
+    try:
+        return c != 0 and float(1 / c) != 0
+    except OverflowError:
+        return False
 
 
 def _delta_pow(node):
@@ -281,10 +290,6 @@ def invariance_check(v: VectorField3, c: FormalCurve, order: int, tolerance=1e-3
         raise OrderExceededError(
             f"invariance at order {order} needs component orders >= {order + 1}"
         )
-    return _invariance(v, comps, order, tolerance)
-
-
-def _invariance(v, comps, order, tolerance):
     derivs = [_series.derive(s) for s in comps]
     vals = [d.val() for d in derivs]
     if all(val == _series.INF for val in vals):

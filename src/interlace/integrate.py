@@ -10,12 +10,11 @@ The whole integration runs on plain Python floats, since the state has
 only 2 or 4 components.  It is one function of Python source unrolled over
 the components and generated per system and log substitution (``_kernel``):
 step-size control, the seven right-hand-side stages of each step, the 5th-
-and 4th-order solutions and the error norm.  A stage evaluates the system's
-right-hand side in one of two ways, chosen from its class: where ``rhs`` is
-the stock ``field._rhs``, the system's straight-line body
-(``expr.straight_line``) is inlined into the stage, with no call and no
-tuple in or out; any other ``rhs``, such as a subclass override or a
-class-level wrapper, is called once per stage.  Accepted knots go straight
+and 4th-order solutions and the error norm.  Every stage runs a straight-line
+body in place: where the system's class keeps the stock ``field._rhs``, the
+system's own body (``expr.straight_line``), with no call and no tuple in or
+out; for any other ``rhs``, such as a subclass override or a class-level
+wrapper, the one line ``_r = rhs(x, state)``.  Accepted knots go straight
 into one ``array('d')`` per component, the float columns of the
 trajectory; dense output reads them one scalar x at a time.  The order of
 floating-point operations is fixed so that results equal the numpy loop the
@@ -23,10 +22,11 @@ generated code replaced (kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
-accuracy is set by the tolerance (the gap components get a zero absolute
-floor), never by cancellation between two large trajectories.  The gap's
-right-hand side is a divided difference evaluated in float64
-(``field.difference_system``), so this holds for gaps of any size.
+accuracy is set by the tolerance, never by cancellation between two large
+trajectories, since ``solve`` gives the gap components of any
+``DifferenceSystem`` a zero absolute floor.  The gap's right-hand side is a
+divided difference evaluated in float64 (``field.difference_system``), so
+this holds for gaps of any size.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class IVP:
     atol: float = 1e-12
     max_steps: int = 10**6
     log_substitution: bool | None = None  # None: auto by span ratio
-    atol_overrides: tuple | None = None  # per-component absolute tolerances
 
     def __post_init__(self):
         if not (self.x_start > self.x_end > 0):
@@ -179,10 +178,8 @@ def solve(ivp: IVP) -> Trajectory:
     if not isinstance(ivp.system, (ReducedSystem, DifferenceSystem)):
         raise TypeError(f"cannot integrate {type(ivp.system).__name__}")
     atol = [float(ivp.atol)] * ivp.system.dimension
-    if ivp.atol_overrides is not None:
-        for k, v in enumerate(ivp.atol_overrides):
-            if v is not None:
-                atol[k] = float(v)
+    if isinstance(ivp.system, DifferenceSystem):
+        atol[2:] = [0.0, 0.0]  # the gap keeps its relative accuracy at any size
 
     logsub = ivp.use_log_substitution()
     t0 = math.log(ivp.x_start) if logsub else ivp.x_start
@@ -221,15 +218,7 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
             f"initial gap eps0 has {len(eps0)} components, system has {ivp.system.dimension}"
         )
     _check_finite("initial gap eps0", eps0)
-    diff = difference_system(ivp.system)
-    y0 = tuple(ivp.y0) + tuple(eps0)
-    pair_ivp = replace(
-        ivp,
-        system=diff,
-        y0=y0,
-        atol_overrides=(None, None, 0.0, 0.0),
-    )
-    traj = solve(pair_ivp)
+    traj = solve(replace(ivp, system=difference_system(ivp.system), y0=(*ivp.y0, *eps0)))
     return traj.slice([0, 1]), traj.slice([2, 3])
 
 
@@ -248,22 +237,18 @@ def _kernel(system, logsub):
     Every stage goes through ``_stage_lines``, which does what one
     right-hand-side evaluation needs: map t to x, evaluate, turn failures
     into solver errors with that stage's x, check finiteness and scale by x
-    under the substitution.  It evaluates in one of two ways, chosen from the
-    system's class (``field.inlines_rhs``): where ``rhs`` is the stock
-    ``field._rhs``, the system's straight-line body is inlined into each stage;
-    any other ``rhs`` (a subclass override, a class-level wrapper) is called
-    once per stage.  The order of floating-point operations is fixed: a stage
-    sum is 0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum,
-    zero coefficients left out, and the error mean adds left to right, as
-    np.mean does below 8 terms.
+    under the substitution.  It evaluates by a straight-line body chosen
+    from the system's class (``field.inlines_rhs``): where ``rhs`` is the
+    stock ``field._rhs``, the system's own body, inlined into each stage;
+    for any other ``rhs`` (a subclass override, a class-level wrapper), the
+    one line ``_r = rhs(_v0, (_v1, ...))`` with results ``_r[0]``, ...
+    The order of floating-point operations is fixed: a stage sum is
+    0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum, zero
+    coefficients left out, and the error mean adds left to right, as np.mean
+    does below 8 terms.
     """
     dim = system.dimension
     comps = range(dim)
-    if inlines_rhs(system):
-        lines, results, namespace = _expr.straight_line(system.trees, system.variables)
-        inline = (lines, results)
-    else:
-        inline, namespace = None, {"rhs": system.rhs}
 
     def vec(name):
         return [f"{name}_{i}" for i in comps]
@@ -281,8 +266,14 @@ def _kernel(system, logsub):
     def state(values):
         return "(" + "".join(f"{v}, " for v in values) + ")"
 
+    if inlines_rhs(system):
+        lines, results, namespace = _expr.straight_line(system.trees, system.variables)
+    else:
+        lines = [f"_r = rhs(_v0, {state(f'_v{i}' for i in range(1, dim + 1))})"]
+        results, namespace = [f"_r[{i}]" for i in comps], {"rhs": system.rhs}
+
     def stage(out, t, y):
-        return _stage_lines(out, t, y, logsub, inline)
+        return _stage_lines(out, t, y, logsub, lines, results)
 
     x_here = "exp(t)" if logsub else "t"
     # the underflow floor scales with |x|; in s = log x it is the factor itself
@@ -376,28 +367,20 @@ def _kernel(system, logsub):
         "AdaptedChartError": AdaptedChartError, "BlowUpError": BlowUpError,
         "MaxStepsError": MaxStepsError, "StiffnessError": StiffnessError,
     })
-    return _expr.generated_function(source, f"dopri5 {system.provenance}", namespace,
-                                    f"<dopri5 kernel, dimension {dim}>")
+    return _expr.generated_function(source, f"dopri5 {system.provenance}", namespace)
 
 
-def _stage_lines(out, t, y, logsub, inline):
+def _stage_lines(out, t, y, logsub, lines, results):
     """Kernel lines setting the names ``out`` to the right-hand side at (t, y).
 
-    ``y`` holds one source expression per component.  With ``inline`` (the
-    system's straight-line lines and result names) the stage binds x and the
-    state to the body's inputs ``_v0``, ``_v1``, ... and runs the body in
-    place: no call and no tuple in or out.  Without it the stage is one call,
-    ``rhs(x, state)``, to the system's ``rhs`` as read from the instance.
-    Either way the values are Python floats and enter the stage sums as
-    they are, and a failure maps to the same solver error with that x.
+    ``y`` holds one source expression per component.  The stage binds x and
+    the state to the body's inputs ``_v0``, ``_v1``, ..., runs the
+    straight-line ``lines`` in place and reads each value from its name in
+    ``results``.  The values are Python floats and enter the stage sums as
+    they are, and a failure maps to a solver error with that x.
     """
-    if inline is None:
-        state = "(" + "".join(f"{v}, " for v in y) + ")"
-        evaluate = ["".join(f"{k}, " for k in out) + f"= rhs(x, {state})"]
-    else:
-        lines, results = inline
-        evaluate = ["_v0 = x", *(f"_v{i} = {v}" for i, v in enumerate(y, start=1)), *lines,
-                    *(f"{k} = {r}" for k, r in zip(out, results))]
+    evaluate = ["_v0 = x", *(f"_v{i} = {v}" for i, v in enumerate(y, start=1)), *lines,
+                *(f"{k} = {r}" for k, r in zip(out, results))]
     return [
         f"x = exp({t})" if logsub else f"x = {t}",
         "try:",

@@ -163,8 +163,8 @@ def run_pair(config, entry=None, outdir=None):
         flat_bound=config.flat_bound,
         final_decade=config.final_decade,
     )
+    probes = config.probes or _default_probes(ivp.x_start, ivp.x_end)
     gamma, eps = solve_pair(ivp, tuple(eps0))
-    probes = config.probes or (config.x_start / 2, config.x_end * 2, config.x_end)
     census_exprs = config.census or ("z1", "z2")
     pair_report = _dichotomy.build_pair_report(
         gamma, eps, probes, census_exprs, thresholds
@@ -182,6 +182,17 @@ def run_pair(config, entry=None, outdir=None):
         _report.contact_plot(eps, pair_report.contact, Path(outdir) / "contact.svg")
         payload["artifacts"]["contact_svg"] = "contact.svg"
     return payload, 0
+
+
+def _default_probes(x_start, x_end):
+    """(x_start/2, 2*x_end, x_end), each of which must lie in (0, 1) and in [x_end, x_start]."""
+    probes = (x_start / 2, x_end * 2, x_end)
+    if not all(0 < x < 1 and x_end <= x <= x_start for x in probes):
+        raise ValueError(
+            f"probes not set, and the defaults x_start/2, 2*x_end, x_end = {list(probes)} "
+            f"do not all lie in (0, 1) and in [x_end, x_start] = [{x_end}, {x_start}]"
+        )
+    return probes
 
 
 def run_integrate(config, entry=None, outdir=None):

@@ -11,20 +11,21 @@ the Euler series E(x) = sum_{n>=0} n! x^{n+1}, the unique formal solution of
 x^2 y' = y - x, and the q-short polynomial test
 deg P < (q+1) val P with positive lowest-order coefficient.
 
-In exact mode the quadratic kernels (product, Horner composition, division,
-exponential) run on Python integers: each operand is put over the lcm of its
-denominators, the loop works on the integer numerators, and one Fraction is
-built per output coefficient at the end.  Integer arithmetic is exact and
-every Fraction is normalised on construction, so the coefficients are the
-ones the Fraction loops give, at one gcd per coefficient instead of one per
-product.  Float mode runs the product and Horner composition through the
-same loops with unit denominators.
+In exact mode the quadratic kernels (product of series and of ``Poly``,
+Horner composition, division, exponential) run on Python integers: each
+operand is put over the lcm of its denominators, the loop works on the
+integer numerators, and one Fraction is built per output coefficient at the
+end.  Integer arithmetic is exact and every Fraction is normalised on
+construction, so the coefficients are the ones the Fraction loops give, at
+one gcd per coefficient instead of one per product.  Float mode runs the
+product and Horner composition through the same loops with unit denominators.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,11 +65,7 @@ class CoefficientMode:
         if self.exact:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
-            if isinstance(value, float):
+            if isinstance(value, (int, str, float)):
                 return Fraction(value)
             raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
         with self.context():
@@ -192,21 +189,18 @@ class TruncatedSeries:
 
     # -- ring operations (result order = min of operand orders) ----------
 
-    def __add__(self, other):
+    def _termwise(self, op, other):
         other = self._promote(other)
         self._check_mode(other)
-        n = min(self.order, other.order)
-        with self.mode.context():
-            cs = tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
+        with self.mode.context():  # map stops at the end of the lower-order operand
+            cs = tuple(map(op, self.coeffs, other.coeffs))
         return TruncatedSeries(cs, self.mode, self.var)
 
+    def __add__(self, other):
+        return self._termwise(operator.add, other)
+
     def __sub__(self, other):
-        other = self._promote(other)
-        self._check_mode(other)
-        n = min(self.order, other.order)
-        with self.mode.context():
-            cs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        return TruncatedSeries(cs, self.mode, self.var)
+        return self._termwise(operator.sub, other)
 
     def __neg__(self):
         return self.map_coeffs(lambda c: -c)
@@ -351,11 +345,9 @@ class Poly:
         return self + -other
 
     def __mul__(self, other):
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.from_coeffs(out, self.var)
+        (a, da), (b, db) = _over_common(self.coeffs), _over_common(other.coeffs)
+        n = len(a) + len(b) - 2
+        return Poly.from_coeffs(_fractions(_convolve(a, b, n), da * db), self.var)
 
     def __truediv__(self, other):
         if other.degree != 0:
@@ -504,21 +496,18 @@ def shift_divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     min(order a, order u) - val(u).
     """
     a._check_mode(u)
-    if u.is_zero():
-        raise NonUnitDivisorError("division by the zero series")
     v = u.val()
-    if a.is_zero():
-        n = min(a.order, u.order) - v
-        if n < 0:
-            raise OrderExceededError("shift exhausts the available order")
-        return TruncatedSeries.zero(n, a.mode, a.var)
-    if a.val() < v:
+    if v == INF:
+        raise NonUnitDivisorError("division by the zero series")
+    n = min(a.order, u.order) - v
+    if a.val() < v:  # never for the zero series, whose valuation is INF
         raise NonUnitDivisorError(
             f"numerator valuation {a.val()} below divisor valuation {v}"
         )
-    n = min(a.order, u.order) - v
     if n < 0:
         raise OrderExceededError("shift exhausts the available order")
+    if a.is_zero():
+        return TruncatedSeries.zero(n, a.mode, a.var)
     a_sh = TruncatedSeries(a.coeffs[v : v + n + 1], a.mode, a.var)
     u_sh = TruncatedSeries(u.coeffs[v : v + n + 1], u.mode, u.var)
     return divide(a_sh, u_sh)

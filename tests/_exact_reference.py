@@ -10,8 +10,13 @@ differential tests compare the fast paths against them.
 ``divide``, ``shift_divide`` and ``exp_series`` are verbatim copies of the
 one-``Fraction``-per-term loops that the integer kernels of
 ``interlace.series`` replaced; they serve both modes.  ``compose`` multiplies
-through ``mul``, so no reference runs an integer kernel.
+through ``mul``, so no reference runs an integer kernel.  ``poly_mul`` is
+the ``Fraction`` loop that ``Poly.__mul__`` ran before it shared those
+kernels, and ``add`` and ``sub`` are the bodies of ``TruncatedSeries.__add__``
+and ``__sub__`` before they shared one termwise helper.
 """
+
+from fractions import Fraction
 
 import mpmath
 
@@ -42,6 +47,32 @@ def mul(self, other):
                     break
                 out[i + j] += a * b
     return TruncatedSeries(tuple(out), self.mode, self.var)
+
+
+def add(self, other):
+    other = self._promote(other)
+    self._check_mode(other)
+    n = min(self.order, other.order)
+    with self.mode.context():
+        cs = tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
+    return TruncatedSeries(cs, self.mode, self.var)
+
+
+def sub(self, other):
+    other = self._promote(other)
+    self._check_mode(other)
+    n = min(self.order, other.order)
+    with self.mode.context():
+        cs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
+    return TruncatedSeries(cs, self.mode, self.var)
+
+
+def poly_mul(self, other):
+    out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+    for i, a in enumerate(self.coeffs):
+        for j, b in enumerate(other.coeffs):
+            out[i + j] += a * b
+    return Poly.from_coeffs(out, self.var)
 
 
 def compose(s: TruncatedSeries, p) -> TruncatedSeries:

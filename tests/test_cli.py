@@ -456,6 +456,41 @@ def test_a_literal_beyond_the_float_range_is_a_usage_error(argv, capsys):
     assert err == f"error: literal 1{'0' * 400} is beyond the float range\n"
 
 
+_TINY_LITERAL_ERRORS = {
+    # 1/10^400 rounds to 0.0; 1/10^310 is subnormal, and y1 divided by it overflows
+    400: (2, f"error: literal 1/1{'0' * 400} is below the float range\n"),
+    310: (3, "numerical failure: non-finite right-hand side (last x = 0.5)\n"),
+}
+
+
+@pytest.mark.parametrize("digits", list(_TINY_LITERAL_ERRORS))
+@pytest.mark.parametrize("command", [["integrate"], ["classify-pair", "--eps0", "0.1,0"]],
+                         ids=["integrate", "classify-pair"])
+def test_a_literal_below_the_float_range_fails_alike_in_both_commands(command, digits, capsys):
+    # the planar system and the gap system must agree on the literal the user wrote
+    f1 = f"y1/(1/1{'0' * digits})"
+    argv = [*command, "--f1", f1, "--f2", "y2", "--x-start", "0.5", "--x-end", "0.2"]
+    code = run([*argv, "--y0", "1,1"])
+    assert (code, capsys.readouterr().err) == _TINY_LITERAL_ERRORS[digits]
+
+
+@pytest.mark.parametrize("x_start, x_end, defaults", [
+    ("1", "0.6", [0.5, 1.2, 0.6]),
+    ("3", "0.01", [1.5, 0.02, 0.01]),
+    ("0.9", "0.5", [0.45, 1.0, 0.5]),
+    ("0.5", "0.3", [0.25, 0.6, 0.3]),  # inside (0, 1), outside the run's span
+])
+def test_default_contact_probes_outside_the_run_are_usage_errors(x_start, x_end, defaults, capsys):
+    argv = ["classify-pair", "--f1", "y1/x", "--f2", "y2", "--x-start", x_start,
+            "--x-end", x_end, "--y0", "1,1", "--eps0", "0.1,0"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: probes not set") and err.count("\n") == 1
+    assert f"x_start/2, 2*x_end, x_end = {defaults}" in err
+    # the same run with probes set inside (0, 1) and the run's span goes through
+    assert run([*argv, "--probes", x_end]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

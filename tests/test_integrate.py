@@ -140,6 +140,17 @@ def test_pair_with_zero_gap_stays_exactly_zero():
     assert all(v == 0.0 for c in eps.cols for v in c)
 
 
+def test_the_gap_components_of_a_difference_system_get_a_zero_floor():
+    # the floor comes from the system's type: a ReducedSystem keeps ivp.atol,
+    # and a DifferenceSystem handed straight to solve integrates as solve_pair does
+    ivp = IVP(EULER, 0.5, 0.1, (1.0, 2.0), atol=1e-9)
+    assert solve(ivp).meta["atol"] == 1e-9
+    traj = solve(replace(ivp, system=difference_system(EULER), y0=(1.0, 2.0, 1e-3, 0.0)))
+    gamma, eps = solve_pair(ivp, (1e-3, 0.0))
+    assert traj.meta["atol"] == gamma.meta["atol"] == 0.0
+    assert traj.xs == gamma.xs and traj.cols == gamma.cols + eps.cols
+
+
 def test_pair_of_decoupled_linear_equations():
     lin = sys2("y1", "y2")
     gamma, eps = solve_pair(IVP(lin, 1.0, 0.3, (0.5, 0.5)), (1.0, 0.0))
@@ -247,10 +258,8 @@ def _reference_solve(ivp):
     rhs = ivp.system.rhs
     dim = ivp.system.dimension
     atol = np.full(dim, ivp.atol)
-    if ivp.atol_overrides is not None:
-        for k, v in enumerate(ivp.atol_overrides):
-            if v is not None:
-                atol[k] = v
+    if isinstance(ivp.system, DifferenceSystem):
+        atol[2:] = 0.0
 
     logsub = ivp.use_log_substitution()
 
@@ -390,8 +399,7 @@ def test_scalar_pair_loop_matches_numpy_reference_bit_for_bit(name, eps0):
     if eps0 == "registry":
         eps0 = tuple(ENTRIES[name].config.eps0)
     gamma, eps = solve_pair(ivp, eps0)
-    pair_ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + eps0,
-                       atol_overrides=(None, None, 0.0, 0.0))
+    pair_ivp = replace(ivp, system=difference_system(ivp.system), y0=ivp.y0 + eps0)
     ref = _reference_solve(pair_ivp)
     _assert_same_trajectory(gamma, ref, [0, 1])
     _assert_same_trajectory(eps, ref, [2, 3])
@@ -444,8 +452,7 @@ def test_last_step_below_the_underflow_floor_ends_like_numpy_reference():
 
 def _pair_ivp(ivp, eps0):
     """The four-dimensional IVP that ``solve_pair(ivp, eps0)`` integrates."""
-    return replace(ivp, system=difference_system(ivp.system), y0=tuple(ivp.y0) + tuple(eps0),
-                   atol_overrides=(None, None, 0.0, 0.0))
+    return replace(ivp, system=difference_system(ivp.system), y0=tuple(ivp.y0) + tuple(eps0))
 
 
 # each way the step loop gives up: f1 (f2 = y2/x), x_start, x_end, y0, IVP

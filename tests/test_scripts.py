@@ -87,6 +87,22 @@ def test_compare_suite_imports_its_own_checkout(tmp_path, pythonpath):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "identical\n", "")
 
 
+def test_two_dumps_of_the_generated_code_compare_identical(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for side in ("old", "new"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "dump_generated.py"), str(tmp_path / side)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    kernel = (tmp_path / "new" / "dopri5 rotating.py").read_text()
+    # the kernel as configured and with log substitution forced on
+    assert kernel.count("def dopri5(") == 2 and "x = exp(t)" in kernel
+    assert (tmp_path / "new" / "census z1.py").is_file()
+    proc = compare_suite(tmp_path / "old", tmp_path / "new")
+    assert (proc.returncode, proc.stdout) == (0, "identical\n")
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

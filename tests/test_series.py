@@ -597,6 +597,52 @@ def test_float_kernels_match_the_reference_loops_bit_for_bit(kernel, operands):
     assert outcome(fn, *args) == outcome(ref, *args)
 
 
+# -- the termwise sum and difference, and the Poly product, against their old loops ------
+
+
+@st.composite
+def termwise_operands(draw):
+    """(a, b) in one mode: b a series of its own order, a Poly or a scalar."""
+    precision = draw(st.sampled_from([None, 64, 113, 200]))
+    mode = EXACT if precision is None else float_mode(precision)
+    extra = draw(st.sampled_from([0, 40]))  # float coefficients stored beyond the mode
+
+    def series():
+        order = draw(st.integers(0, 40))
+        n = draw(st.one_of(st.sampled_from([0, 1, order + 1]), st.integers(0, order + 1)))
+        coeffs = draw(st.lists(st.one_of(st.just(F(0)), wide_fraction), min_size=n, max_size=n))
+        return S(coeffs, order) if mode.exact else stored_at(coeffs, order, mode, extra)
+
+    kind = draw(st.sampled_from(["series", "poly", "int", "fraction"]))
+    if kind == "series":
+        return series(), series()
+    if kind == "poly":
+        return series(), Poly.from_coeffs(draw(st.lists(wide_fraction, max_size=45)))
+    return series(), draw(st.integers(-(10**30), 10**30) if kind == "int" else wide_fraction)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+@given(termwise_operands())
+@settings(max_examples=200, deadline=None)
+def test_sum_and_difference_match_the_reference_loops(op, operands):
+    # exact values, or equal _mpf_ bits, at unequal orders and with promotion
+    fn = {"add": TruncatedSeries.__add__, "sub": TruncatedSeries.__sub__}[op]
+    assert outcome(fn, *operands) == outcome(getattr(_exact_reference, op), *operands)
+
+
+# zero and constant polynomials are the empty and one-term coefficient lists
+poly_coeffs = st.one_of(st.lists(wide_fraction, max_size=1),
+                        st.lists(st.one_of(st.just(F(0)), wide_fraction), max_size=30))
+
+
+@given(poly_coeffs, poly_coeffs)
+@settings(max_examples=300, deadline=None)
+def test_poly_product_matches_the_fraction_loop(a, b):
+    p, q = Poly.from_coeffs(a), Poly.from_coeffs(b)
+    got = p * q
+    assert got == _exact_reference.poly_mul(p, q) and all(type(c) is F for c in got.coeffs)
+
+
 # -- closed forms beyond the suite's orders ----------------------------------------------
 
 
