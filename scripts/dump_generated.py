@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Write the source of every function the pair and integrate entries generate.
+"""Write the source of every function the registry entries generate.
 
     python scripts/dump_generated.py OUTDIR
 
-Runs each registry entry of kind ``pair`` or ``integrate`` twice, with log
-substitution as configured and forced on, and records every function made
-by ``expr.generated_function``: the DOPRI5 kernels, the census expressions
-and, since an inlined kernel never calls it, each integrated system's
-``rhs``.  Each code name (``dopri5 rotating``, ``rhs euler_pair``,
-``census y1 - x``) gets one file, ``/`` replaced by ``_``, holding each of its
-distinct sources in the order they were first made.  Two dumps compare with
-``scripts/compare_suite.py``, which shows whether a change moved any
-generated code.
+Runs every registry entry, and each entry of kind ``pair`` or ``integrate``
+a second time with log substitution forced on, and records every function
+made by ``expr.generated_function``: the DOPRI5 kernels, the census
+expressions, each integrated system's ``rhs`` (an inlined kernel never calls
+it) and the exact side's functions, which ``substitute_series`` and
+``expr_to_poly`` compile under the code name ``_compiled``.  Each code name
+(``dopri5 rotating``, ``rhs euler_pair``, ``census y1 - x``) gets one file,
+``/`` replaced by ``_``, holding each of its distinct sources in the order
+they were first made.  Two dumps compare with ``scripts/compare_suite.py``,
+which shows whether a change moved any generated code.
 """
 
 import sys
@@ -25,7 +26,7 @@ from interlace.registry import ENTRIES  # noqa: E402
 
 
 def generated_sources():
-    """{code name: [distinct sources]} over the pair and integrate entries."""
+    """{code name: [distinct sources]} over every registry entry."""
     sources = {}
     make, kernel = expr.generated_function, integrate._kernel
 
@@ -42,9 +43,11 @@ def generated_sources():
     try:
         for name in sorted(ENTRIES):
             entry = ENTRIES[name]
+            configs = [entry.config]
             if entry.kind in ("pair", "integrate"):
-                for config in (entry.config, replace(entry.config, log_substitution="on")):
-                    pipelines.RUNNERS[entry.kind](config, entry)
+                configs.append(replace(entry.config, log_substitution="on"))
+            for config in configs:
+                pipelines.RUNNERS[entry.kind](config, entry)
     finally:
         expr.generated_function, integrate._kernel = make, kernel
     return sources

@@ -3,7 +3,8 @@
 Library layout:
 
 * ``series``    exact truncated power series, J_k/T_k, Euler series, q-short test
-* ``expr``      rational expression trees, parser, printer, series substitution
+* ``expr``      rational expression trees, parser, printer, generated code
+                (``compile_expr``), series substitution
 * ``field``     vector fields, invariance multiplier test, chart reduction,
                 difference systems
 * ``curve``     formal curves, spherical blow-ups / iterated tangents,
@@ -11,7 +12,13 @@ Library layout:
 * ``integrate`` adaptive embedded Runge-Kutta with dense output, pair solver
 * ``dichotomy`` contact order, winding angle, sign census, verdict
 * ``sat``       tail test curves and exact polynomial-relation search
-* ``cli``       command-line front end and the example registry suite
+* ``config``    ``RunConfig``: every settable key, config-file text
+* ``registry``  catalog of worked examples with their expected facts
+* ``pipelines`` one runner per command, from a ``RunConfig`` to a report
+                payload, and the registry suite
+* ``report``    canonical JSON and SVG plots
+* ``errors``    error taxonomy and its exit codes
+* ``cli``       command-line front end
 """
 
 from .series import (

@@ -92,8 +92,6 @@ class Command:
     help: str
     keys: tuple  # RunConfig keys offered as flags besides --example and --outdir
     summary: Callable  # (config, payload): prints the result
-    # classify-pair and integrate list their files under "artifacts" instead
-    prints_report_path: bool = True
 
 
 COMMANDS = {
@@ -106,12 +104,12 @@ COMMANDS = {
         "pair", "flat contact / winding / census verdict",
         ("f1", "f2", "x_start", "x_end", "y0", "eps0", "probes", "census",
          "rtol", "atol", "turn_threshold", "log_substitution"),
-        _print_pair, prints_report_path=False,
+        _print_pair,
     ),
     "integrate": Command(
         "integrate", "integrate a reduced system toward x -> 0+",
         ("f1", "f2", "x_start", "x_end", "y0", "rtol", "atol", "log_substitution"),
-        _print_integrate, prints_report_path=False,
+        _print_integrate,
     ),
     "tangents": Command(
         "tangents", "oriented iterated tangents of a curve",
@@ -173,7 +171,7 @@ def _run_command(args):
     payload, code = pipelines.RUNNERS[command.kind](config, entry, config.outdir)
     if config.outdir is not None:
         path = report.write_json(Path(config.outdir) / "report.json", payload)
-        if command.prints_report_path:
+        if "artifacts" not in payload:  # a payload with artifacts lists its files instead
             print(f"{args.cmd}: wrote {path}")
     command.summary(config, payload)
     return code

@@ -14,8 +14,8 @@ used and the raw quantities it saw.  Conventions:
 
 Both passes read the trajectories' float columns directly: the raw angles
 are one ``map(atan2)`` over the two gap columns, and each census expression
-is one generated function mapped over the zipped columns, so no list of
-row tuples is built.  Dense output is called only between knots: by the
+is one generated function of the five columns' values mapped over them, so
+no row tuple is built.  Dense output is called only between knots: by the
 winding's refinement, and once per census midpoint for all four components.
 """
 
@@ -232,7 +232,7 @@ def sign_census(exprs, gamma, eps, window=None):
         f = _expr.compile_expr(tree, DIFFERENCE_VARS, label=f"census {text}")
         fvals = []
         try:
-            fvals.extend(map(f, zip(*cols)))  # keeps the values before a failure
+            fvals.extend(map(f, *cols))  # keeps the values before a failure
         except OverflowError as exc:
             raise _overflow(text, xs[len(fvals)]) from exc
         pos = map(operator.gt, fvals, repeat(0.0))
@@ -267,7 +267,7 @@ def _bisect_crossing(f, text, joint, x_hi, s_hi, x_lo):
     while (x_hi - x_lo) > CENSUS_REFINE_REL * x_hi:
         mid = 0.5 * (x_hi + x_lo)
         try:
-            v = f((mid, *joint(mid)))
+            v = f(mid, *joint(mid))
         except OverflowError as exc:
             raise _overflow(text, mid) from exc
         s_mid = (v > 0) - (v < 0)

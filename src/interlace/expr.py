@@ -300,7 +300,7 @@ def rename_vars(node, mapping):
 def fold_constant(node):
     """Fraction value of a constant expression, or None if variables occur."""
     try:
-        return compile_expr(node, (), Fraction)(())
+        return compile_expr(node, (), Fraction)()
     except (UnknownIdentifierError, EvaluationSingularityError):
         return None
 
@@ -315,18 +315,18 @@ def evaluate_mp(node, env, prec=160):
     names = tuple(env)
     with mpmath.workprec(prec):
         f = compile_expr(node, names, lambda q: mpmath.mpf(q.numerator) / q.denominator)
-        return f(tuple(mpmath.mpf(env[n]) for n in names))
+        return f(*(mpmath.mpf(env[n]) for n in names))
 
 
 def compile_expr(node, names, const=float, calls=None, label="_compiled"):
-    """Straight-line Python function of a sequence of values, one per ``names`` entry.
+    """Straight-line Python function of one positional value per ``names`` entry.
 
-    The tree is emitted once as Python source by ``straight_line`` and
-    compiled; the code object is cached by its source, which holds generated
-    names only, and by ``label``, the function's code name, which keeps
-    functions of one source apart in a profile.  ``node`` may be a tuple of
-    trees: the function then returns the tuple of their values, sharing what
-    they have in common.
+    The tree is emitted once by ``straight_line`` as the body of
+    ``_compiled(_v0, _v1, ...)``, called as ``f(x, y)`` for names ("x", "y");
+    the code object is cached by its source, which holds generated names
+    only, and by ``label``, the function's code name, which keeps functions
+    of one source apart in a profile.  ``node`` may be a tuple of trees: the
+    function then returns the tuple of their values, sharing common terms.
 
     Arithmetic uses the values' own operators: float, mpf, Fraction,
     ``series.Poly`` or ``series.TruncatedSeries``.  ``const`` maps literals
@@ -338,13 +338,13 @@ def compile_expr(node, names, const=float, calls=None, label="_compiled"):
     names = tuple(names)
     trees = node if isinstance(node, tuple) else (node,)
     lines, results, namespace = straight_line(trees, names, const, calls)
-    unpack = "".join(f"_v{i}, " for i in range(len(names)))
+    params = ", ".join(f"_v{i}" for i in range(len(names)))
     if isinstance(node, tuple):
         result = "(" + "".join(f"{r}, " for r in results) + ")"
     else:
         (result,) = results
-    body = ([f"{unpack}= _a"] if unpack else []) + lines + [f"return {result}"]
-    source = "def _compiled(_a):\n" + "".join(f"    {line}\n" for line in body)
+    body = lines + [f"return {result}"]
+    source = f"def _compiled({params}):\n" + "".join(f"    {line}\n" for line in body)
     return generated_function(source, label, namespace)
 
 
@@ -355,11 +355,11 @@ def straight_line(trees, names, const=float, calls=None):
     one temporary ``_tN`` per distinct sub-expression, in the post-order a
     recursive evaluation would take and at its first occurrence, and leave
     each tree's value in the name ``results[k]``.  A host runs them inside a
-    function of its own whose globals include ``globals``; ``compile_expr``
-    is one such host and the integration kernel another.  Only generated
-    names reach the lines (``_v0`` for the first name, ``_t3`` for a
-    temporary, ``_g2`` for a global); constants, exponents, calls and the
-    trees behind error messages are bound through the globals.
+    function of its own whose globals include ``globals``: ``compile_expr``
+    takes the ``_vi`` as parameters, the integration kernel assigns them.
+    Only generated names reach the lines (``_v0`` for the first name, ``_t3``
+    for a temporary, ``_g2`` for a global); constants, exponents, calls and
+    the trees behind error messages are bound through the globals.
 
     A zero divisor raises EvaluationSingularityError before it is used, and
     a series divisor without constant term raises NonUnitDenominatorError.
@@ -525,4 +525,4 @@ def substitute_series(node, env):
     f = compile_expr(
         node, env, lambda q: _series.TruncatedSeries.constant(q, order, mode, var), calls
     )
-    return f(tuple(s.truncated(order) for s in values))
+    return f(*(s.truncated(order) for s in values))

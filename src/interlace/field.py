@@ -63,7 +63,7 @@ class VectorField3:
 
 def _rhs(system, x, y):
     """``system.rhs(x, y)``, bound in each system class's own namespace (see ``inlines_rhs``)."""
-    return system._compiled((x, *y))
+    return system._compiled(x, *y)
 
 
 def _generated_rhs(system):

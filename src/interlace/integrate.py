@@ -7,18 +7,18 @@ side is integrated in s = log x by default (steps then measure the approach
 rate to 0), a heuristic exposed as a flag.
 
 The whole integration runs on plain Python floats, since the state has
-only 2 or 4 components.  It is one function of Python source unrolled over
-the components and generated per system and log substitution (``_kernel``):
-step-size control, the seven right-hand-side stages of each step, the 5th-
-and 4th-order solutions and the error norm.  Every stage runs a straight-line
-body in place: where the system's class keeps the stock ``field._rhs``, the
-system's own body (``expr.straight_line``), with no call and no tuple in or
-out; for any other ``rhs``, such as a subclass override or a class-level
-wrapper, the one line ``_r = rhs(x, state)``.  Accepted knots go straight
-into one ``array('d')`` per component, the float columns of the
-trajectory; dense output reads them one scalar x at a time.  The order of
-floating-point operations is fixed so that results equal the numpy loop the
-generated code replaced (kept as a reference in the tests) bit for bit.
+only 2 or 4 components, in one direction: x decreases toward x_end.  It is
+one function of Python source unrolled over the components and generated
+per system and log substitution (``_kernel``): step-size control, the seven
+right-hand-side stages of each step, the 5th- and 4th-order solutions and
+the error norm.  Every stage runs a straight-line body in place: where the
+system's class keeps the stock ``field._rhs``, the system's own body
+(``expr.straight_line``), with no call and no tuple; for any other ``rhs``,
+such as a subclass override or a class-level wrapper, the one line
+``_r = rhs(x, state)``.  Accepted knots go straight into one ``array('d')``
+per component, the trajectory's float columns.  The order of floating-point
+operations is fixed so that results equal the numpy loop the generated code
+replaced (kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
@@ -223,11 +223,11 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
 
 
 def _kernel(system, logsub):
-    """``dopri5(t, t1, y, rtol, atol, max_steps)``, the whole integration from t to t1.
+    """``dopri5(t, t1, y, rtol, atol, max_steps)``, the whole integration from t down to t1.
 
-    Python source unrolled over the system's components, generated for each
-    system and log substitution: step-size control, the seven stages of each
-    step, the 5th- and 4th-order solutions and the error norm.  It returns
+    ``IVP`` requires x_start > x_end > 0, so t1 < t in x and in log x: h is
+    never positive, and each comparison is written with its sign known
+    (``while t > t1``, ``-h`` for the step's size).  It returns
     (ts, cols, dcols, n_steps, n_rejected, max_err): the accepted points, and
     one ``array('d')`` per component of the values and of the derivatives in
     t there.  The code object is cached by its source and the system's
@@ -245,7 +245,7 @@ def _kernel(system, logsub):
     The order of floating-point operations is fixed: a stage sum is
     0 + a_1 k_1 + a_2 k_2 + ... in tableau order before y + h*sum, zero
     coefficients left out, and the error mean adds left to right, as np.mean
-    does below 8 terms.
+    does below 8 terms.  No ratio is capped: any above 1.35e154 squares to inf.
     """
     dim = system.dimension
     comps = range(dim)
@@ -276,8 +276,8 @@ def _kernel(system, logsub):
         return _stage_lines(out, t, y, logsub, lines, results)
 
     x_here = "exp(t)" if logsub else "t"
-    # the underflow floor scales with |x|; in s = log x it is the factor itself
-    h_floor = "STEP_UNDERFLOW_FACTOR" + ("" if logsub else " * abs(t)")
+    # the underflow floor scales with x; in s = log x it is the factor itself
+    h_floor = "STEP_UNDERFLOW_FACTOR" + ("" if logsub else " * t")
     step = []
     for s in range(1, 6):
         step += stage(vec(f"k{s + 1}"), at(_C[s]), [combine(_A[s], i) for i in comps])
@@ -298,8 +298,6 @@ def _kernel(system, logsub):
             f"    r_{i} = diff / scale",
             "else:",
             f"    r_{i} = inf if diff > 0 else 0.0",
-            f"if r_{i} > 1e300:  # NaN passes through, as with np.minimum",
-            f"    r_{i} = 1e300",
         ]
     squares = "".join(f" + r_{i} * r_{i}" for i in comps)
     step.append(f"err = sqrt((0.0{squares}) / {dim})")
@@ -307,35 +305,33 @@ def _kernel(system, logsub):
     body = [unpack(vec("y"), "y"), unpack(vec("atol"), "atol")]
     body += stage(vec("k1"), "t", vec("y"))
     body += [
-        "sign = 1.0 if t1 > t else -1.0",
-        "span = abs(t1 - t)",
         f"k1 = {state(vec('k1'))}",
-        f"h = sign * min(span / 100.0, initial_step(t, y, k1, rtol, atol, {logsub}))",
+        f"h = -min((t - t1) / 100.0, initial_step(t, y, k1, rtol, atol, {logsub}))",
         "ts = array('d', (t,))",
         *(f"c_{i} = array('d', (y_{i},))" for i in comps),
         *(f"d_{i} = array('d', (k1_{i},))" for i in comps),
         "n_steps = n_rejected = 0",
         "max_err = 0.0",
-        "while sign * (t1 - t) > 0:",
+        "while t > t1:",
     ]
     loop = [
         "used = n_steps + n_rejected",
         "if used >= max_steps:",
         f'    raise MaxStepsError("step budget exhausted", last_x={x_here})',
-        "if abs(h) > abs(t1 - t):",
+        "if h < t1 - t:",
         "    h = t1 - t",
         f"h_floor = {h_floor}",
-        "if abs(h) < h_floor:",
+        "if -h < h_floor:",
         # a last step shorter than the floor is rounding, not stiffness:
         # the run has reached t1 (solve pins the last knot to x_end)
-        "    if n_steps and abs(t1 - t) < h_floor:",
+        "    if n_steps and t - t1 < h_floor:",
         "        break",
         f'    raise StiffnessError("step size underflow", last_x={x_here})',
         # progress projection: creeping toward a singular point can hold h
         # above the underflow floor while never finishing; give up once even
         # 8x the remaining budget cannot cover the remaining span
         "if used % 64 == 0 and used > 256:",
-        "    if abs(h) * 8 * (max_steps - used) < abs(t1 - t):",
+        "    if -h * 8 * (max_steps - used) < t - t1:",
         "        raise StiffnessError(",
         '            "step size collapsed: projected step count exceeds the budget",',
         f"            last_x={x_here},",

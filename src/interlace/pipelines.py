@@ -163,7 +163,7 @@ def run_pair(config, entry=None, outdir=None):
         flat_bound=config.flat_bound,
         final_decade=config.final_decade,
     )
-    probes = config.probes or _default_probes(ivp.x_start, ivp.x_end)
+    probes = _contact_probes(config.probes, ivp)
     gamma, eps = solve_pair(ivp, tuple(eps0))
     census_exprs = config.census or ("z1", "z2")
     pair_report = _dichotomy.build_pair_report(
@@ -184,15 +184,24 @@ def run_pair(config, entry=None, outdir=None):
     return payload, 0
 
 
-def _default_probes(x_start, x_end):
-    """(x_start/2, 2*x_end, x_end), each of which must lie in (0, 1) and in [x_end, x_start]."""
-    probes = (x_start / 2, x_end * 2, x_end)
-    if not all(0 < x < 1 and x_end <= x <= x_start for x in probes):
+def _contact_probes(probes, ivp):
+    """The run's contact probes, set or default, checked before the solve.
+
+    The defaults are (x_start/2, 2*x_end, x_end); each probe must lie in
+    (0, 1) and in [x_end, x_start].
+    """
+    x_start, x_end = ivp.x_start, ivp.x_end
+    chosen = probes or (x_start / 2, x_end * 2, x_end)
+    bad = [x for x in chosen if not (0 < x < 1 and x_end <= x <= x_start)]
+    if bad:
+        where = f"lie in (0, 1) and in [x_end, x_start] = [{x_end}, {x_start}]"
+        if probes:
+            raise ValueError(f"contact probes must {where}; got {bad}")
         raise ValueError(
-            f"probes not set, and the defaults x_start/2, 2*x_end, x_end = {list(probes)} "
-            f"do not all lie in (0, 1) and in [x_end, x_start] = [{x_end}, {x_start}]"
+            f"probes not set, and the defaults x_start/2, 2*x_end, x_end = {list(chosen)} "
+            f"do not all {where}"
         )
-    return probes
+    return chosen
 
 
 def run_integrate(config, entry=None, outdir=None):
@@ -246,7 +255,7 @@ def expr_to_poly(text, var=None) -> Poly:
     name = var or (names[0] if names else "x")
     to_poly = compile_expr(tree, names, lambda q: Poly.from_coeffs([q], name))
     try:
-        return to_poly((Poly.from_coeffs([0, 1], name),)[: len(names)])
+        return to_poly(*(Poly.from_coeffs([0, 1], name),)[: len(names)])
     except ValueError:
         raise ValueError(f"not a polynomial: {text!r}") from None
 

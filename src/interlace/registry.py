@@ -8,7 +8,7 @@ The suite runner re-derives each fact and reports agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import RunConfig
 from .curve import FormalCurve
@@ -63,7 +63,6 @@ _ENTRIES = [
             "(t, E(t), E(2t)); separated pencil, Euler-series center curve"
         ),
         config=RunConfig(
-            example="xi1",
             field_components=("2*x^2", "2*(y-x)", "z-2*x"),
             curve="t, E(t), E(2*t)",
             order=30,
@@ -81,7 +80,6 @@ _ENTRIES = [
             "(t, E(t), E(-t)); mirrored-argument Euler tail"
         ),
         config=RunConfig(
-            example="xi2",
             field_components=("x^2", "y-x", "-(z+x)"),
             curve="t, E(t), E(-t)",
             order=30,
@@ -99,7 +97,6 @@ _ENTRIES = [
             "with invariant curve (t, E(t), E(t+t^2))"
         ),
         config=RunConfig(
-            example="xi3",
             field_components=(
                 "x^2",
                 "y-x",
@@ -121,7 +118,6 @@ _ENTRIES = [
             "(t, E(t), t exp(E(t)))"
         ),
         config=RunConfig(
-            example="xi4_mu1",
             field_components=("x^2", "y-x", "y*z"),
             curve="t, E(t), t*exp(E(t))",
             order=30,
@@ -136,7 +132,6 @@ _ENTRIES = [
         kind="invariance",
         description="same field as xi4_mu1 with the doubled curve (t, E(t), 2t exp(E(t)))",
         config=RunConfig(
-            example="xi4_mu2",
             field_components=("x^2", "y-x", "y*z"),
             curve="t, E(t), 2*t*exp(E(t))",
             order=30,
@@ -154,7 +149,6 @@ _ENTRIES = [
             "curve (t, E(t), t exp(E(t)/t)); the exp factor e is irrational"
         ),
         config=RunConfig(
-            example="flat_tower",
             field_components=("x^3", "x*(y-x)", "z*(y-x)*(1-x)"),
             order=20,
             mode="float",
@@ -174,7 +168,6 @@ _ENTRIES = [
             "solutions carry log terms, so this entry is numeric only"
         ),
         config=RunConfig(
-            example="log_demo",
             f1="y1^2/x",
             f2="y2/x^2",
             x_start=0.5,
@@ -197,7 +190,6 @@ _ENTRIES = [
             "like exp(-1/x), a flat contact exemplar"
         ),
         config=RunConfig(
-            example="euler_pair",
             f1="(y1-x)/x^2",
             f2="(y2-2*x)/(2*x^2)",
             x_start=0.5,
@@ -225,7 +217,6 @@ _ENTRIES = [
             "theta(x) = theta0 - b (1/x - 1/x0)"
         ),
         config=RunConfig(
-            example="rotating",
             f1="(y1/10 - y2)/x^2",
             f2="(y2/10 + y1)/x^2",
             x_start=1.0,
@@ -247,7 +238,6 @@ _ENTRIES = [
         kind="pair",
         description="pure radial gap field (b=0): no turning, one-signed gap",
         config=RunConfig(
-            example="rotating_radial",
             f1="y1/(10*x^2)",
             f2="y2/(10*x^2)",
             x_start=1.0,
@@ -267,7 +257,7 @@ _ENTRIES = [
         name="qshort_catalog",
         kind="qshort",
         description="shortness/positivity verdicts for the catalog polynomials, q = 1",
-        config=RunConfig(example="qshort_catalog", poly="x; 2*x; -x; x+x^2", q=1),
+        config=RunConfig(poly="x; 2*x; -x; x+x^2", q=1),
         expected=(
             Fact("x", {"is_short": True, "is_positive": True}, LITERATURE),
             Fact("2*x", {"is_short": True, "is_positive": True}, LITERATURE),
@@ -279,8 +269,7 @@ _ENTRIES = [
         name="relations_parabola",
         kind="relations",
         description="algebraic control case (x, x^2): the kernel must contain y - x^2",
-        config=RunConfig(example="relations_parabola",
-                         curve="x, x^2", degree=2, jet=12, order=12),
+        config=RunConfig(curve="x, x^2", degree=2, jet=12, order=12),
         expected=(
             Fact("kernel_dimension", 1, TRIVIAL),
             Fact("contains_second_component_minus_square", True, TRIVIAL),
@@ -290,16 +279,14 @@ _ENTRIES = [
         name="relations_e_doubled",
         kind="relations",
         description="(x, E(x), E(2x)): degree-3 search, jet twice the monomial count",
-        config=RunConfig(example="relations_e_doubled",
-                         curve="x, E(x), E(2*x)", degree=3, jet=40, order=40),
+        config=RunConfig(curve="x, E(x), E(2*x)", degree=3, jet=40, order=40),
         expected=(Fact("transcendence_evidence", True, DERIVED),),
     ),
     RegistryEntry(
         name="relations_e_alone",
         kind="relations",
         description="(x, E(x)): degree-4 search on a long jet",
-        config=RunConfig(example="relations_e_alone",
-                         curve="x, E(x)", degree=4, jet=60, order=60),
+        config=RunConfig(curve="x, E(x)", degree=4, jet=60, order=60),
         expected=(Fact("transcendence_evidence", True, DERIVED),),
     ),
     RegistryEntry(
@@ -310,23 +297,21 @@ _ENTRIES = [
             "this curve, so the polynomial search is reported descriptively, "
             "with no pass/fail reading"
         ),
-        config=RunConfig(example="relations_mixed_tail",
-                         curve="x, E(x), E(x+x^2)", degree=3, jet=40, order=40),
+        config=RunConfig(curve="x, E(x), E(x+x^2)", degree=3, jet=40, order=40),
         expected=(),
     ),
     RegistryEntry(
         name="cusp_tangents",
         kind="tangents",
         description="iterated tangents of the cusp-like curve (t, t^2, t^3)",
-        config=RunConfig(example="cusp_tangents",
-                         curve="t, t^2, t^3", steps=3, order=6),
+        config=RunConfig(curve="t, t^2, t^3", steps=3, order=6),
         expected=(
             Fact("directions", [[1, 0, 0], [1, 1, 0], [1, 0, 1]], DERIVED),
         ),
     ),
 ]
 
-ENTRIES = {e.name: e for e in _ENTRIES}
+ENTRIES = {e.name: replace(e, config=replace(e.config, example=e.name)) for e in _ENTRIES}
 
 
 def get(name) -> RegistryEntry:

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as _series
+from .curve import FormalCurve
 from .errors import ExactnessRequiredError, OrderExceededError
 from .series import Poly, TruncatedSeries
 
@@ -87,8 +88,6 @@ class SatCurveSpec:
 
 def build_sat_curve(spec: SatCurveSpec):
     """Assemble (x, (T_k H_i) o P_j) with j outer, i inner."""
-    from .curve import FormalCurve  # local import to avoid a cycle
-
     mode = spec.H[0].mode
     var = spec.H[0].var
     tails = [_series.tail_T(h, spec.k) for h in spec.H]

@@ -87,7 +87,7 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
         tree = e if not isinstance(e, str) else _expr.parse_expr(e, DIFFERENCE_VARS)
         text = _expr.to_text(tree)
         f = _expr.compile_expr(tree, DIFFERENCE_VARS)
-        fvals = [f(row) for row in rows]
+        fvals = [f(*row) for row in rows]
         crossings = []
         changes = 0
         last_sign = 0
@@ -117,7 +117,7 @@ def sign_census(exprs, gamma, eps, window=None, refine_rel=1e-6):
 
 
 def _dense_value(f, gamma, eps, x):
-    return f((x, *gamma(x), *eps(x)))
+    return f(x, *gamma(x), *eps(x))
 
 
 def _sign(v):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from interlace import pipelines
 from interlace.cli import build_parser, config_from_args, main
 from interlace.config import RunConfig, parse_config_text
 from interlace.registry import ENTRIES
@@ -253,6 +254,11 @@ def test_config_file_round_trip(tmp_path):
     assert parse_config_text(parse_config_text(text).to_text()) == cfg
 
 
+def test_every_registry_config_names_its_own_entry():
+    for name, entry in ENTRIES.items():
+        assert entry.name == entry.config.example == name
+
+
 def test_registry_configs_round_trip():
     for entry in ENTRIES.values():
         cfg = entry.config
@@ -349,6 +355,16 @@ def test_config_file_outdir_writes_the_report(tmp_path, capsys):
     assert run(["qshort", "--config", str(cfg)]) == 0
     assert load_json(out / "report.json")["results"][0]["is_positive"] is True
     assert "qshort: wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--example", "log_demo"],
+    ["classify-pair", "--example", "euler_pair"],
+])
+def test_commands_whose_payload_lists_artifacts_print_no_report_path(argv, tmp_path, capsys):
+    assert run([*argv, "--outdir", str(tmp_path)]) == 0
+    assert "artifacts" in load_json(tmp_path / "report.json")
+    assert "wrote" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -489,6 +505,19 @@ def test_default_contact_probes_outside_the_run_are_usage_errors(x_start, x_end,
     assert f"x_start/2, 2*x_end, x_end = {defaults}" in err
     # the same run with probes set inside (0, 1) and the run's span goes through
     assert run([*argv, "--probes", x_end]) == 0
+
+
+@pytest.mark.parametrize("probe", ["0.1", "0.6"])  # inside (0, 1), outside [0.2, 0.5]
+def test_set_contact_probes_outside_the_run_are_usage_errors(probe, capsys, monkeypatch):
+    # the probes are checked before the solve, and the message names them
+    monkeypatch.setattr(pipelines, "solve_pair", lambda *args: pytest.fail("solved"))
+    argv = ["classify-pair", "--f1", "y1/x", "--f2", "y2", "--x-start", "0.5",
+            "--x-end", "0.2", "--y0", "1,1", "--eps0", "0.1,0", "--probes", probe]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: contact probes must lie in (0, 1) and in [x_end, x_start] = "
+        f"[0.2, 0.5]; got [{probe}]\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,7 @@ def test_census_knot_samples_equal_dense_output_samples():
         tree = parse_expr(text, names)
         f = compile_expr(tree, names)
         dense = [evaluate(tree, dict(zip(names, (x, *gamma(x), *eps(x))))) for x in gamma.xs]
-        knots = [f(row) for row in zip(gamma.xs, *gamma.cols, *eps.cols)]
+        knots = [f(*row) for row in zip(gamma.xs, *gamma.cols, *eps.cols)]
         assert dense == knots
         entry = sign_census([text], gamma, eps)[0]
         want = sum(1 for a, b in zip(dense, dense[1:]) if a * b < 0)

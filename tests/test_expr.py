@@ -146,7 +146,7 @@ def test_print_parse_round_trip(tree):
 
 def _exact_outcome(tree, point):
     try:
-        return ("value", compile_expr(tree, XYZ, const=F)(point))
+        return ("value", compile_expr(tree, XYZ, const=F)(*point))
     except EvaluationSingularityError:
         return ("singular",)
 
@@ -195,7 +195,7 @@ _POINT = st.tuples(*[st.one_of(st.just(0.0), st.floats(-50, 50)) for _ in XYZ])
 def test_generated_code_matches_tree_walker_bit_for_bit(tree, values):
     env = dict(zip(XYZ, values))
     f = compile_expr(tree, XYZ)
-    assert _outcome(lambda: f(values)) == _outcome(lambda: evaluate(tree, env))
+    assert _outcome(lambda: f(*values)) == _outcome(lambda: evaluate(tree, env))
 
 
 def _outcomes(fn):
@@ -236,7 +236,7 @@ def test_multi_output_with_shared_subtrees_matches_tree_walker(trees, values):
     env = dict(zip(XYZ, values))
     f = compile_expr(trees, XYZ)
     want = _outcomes(lambda: [evaluate(t, env) for t in trees])
-    assert _outcomes(lambda: f(values)) == want
+    assert _outcomes(lambda: f(*values)) == want
 
 
 @pytest.mark.parametrize(
@@ -247,9 +247,9 @@ def test_variable_names_never_reach_the_source(name):
     names = ("_v0", name)
     tree = BinOp("/", Var(name), BinOp("-", Var("_v0"), Num(F(1))))
     f = compile_expr((tree, Var(name)), names)
-    assert f((3.0, 6.0)) == (3.0, 6.0)
+    assert f(3.0, 6.0) == (3.0, 6.0)
     with pytest.raises(EvaluationSingularityError) as err:
-        f((1.0, 6.0))
+        f(1.0, 6.0)
     assert err.value.point == {"_v0": 1.0, name: 6.0}
     assert err.value.subexpr_text == to_text(tree)
 
@@ -257,7 +257,7 @@ def test_variable_names_never_reach_the_source(name):
 def test_compiled_zero_divisor_names_subexpression_and_point():
     f = compile_expr(parse_expr("x + y/(z - 1)", XYZ), XYZ)
     with pytest.raises(EvaluationSingularityError) as err:
-        f((2.0, 3.0, 1.0))
+        f(2.0, 3.0, 1.0)
     assert err.value.subexpr_text == "y/(z - 1)"
     assert err.value.point == {"x": 2.0, "y": 3.0, "z": 1.0}
 
@@ -266,10 +266,10 @@ def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors(
     xy = ("x", "y")
     f1, f2 = (compile_expr(parse_expr(f"x/(y - {c})", xy), xy) for c in (1, 2))
     assert f1.__code__ is f2.__code__  # one source, compiled once
-    assert (f1((6.0, 3.0)), f2((6.0, 3.0))) == (3.0, 6.0)
+    assert (f1(6.0, 3.0), f2(6.0, 3.0)) == (3.0, 6.0)
     for f, text in ((f1, "x/(y - 1)"), (f2, "x/(y - 2)")):
         with pytest.raises(EvaluationSingularityError) as err:
-            f((1.0, float(text[-2])))
+            f(1.0, float(text[-2]))
         assert err.value.subexpr_text == text
 
 

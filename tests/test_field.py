@@ -220,7 +220,7 @@ def test_gap_of_any_tree_is_the_literal_difference(tree, point, gaps, bits):
     literal = BinOp("-", rename_vars(f, SHIFTED), f)
     values = point + tuple(g / 2**bits for g in gaps)
     try:
-        want, got = compile_expr((literal, gap), DIFFERENCE_VARS, F)(values)
+        want, got = compile_expr((literal, gap), DIFFERENCE_VARS, F)(*values)
     except EvaluationSingularityError:
         assume(False)
     assert got == want

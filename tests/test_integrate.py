@@ -536,6 +536,26 @@ def test_a_step_with_error_ratio_exactly_one_is_accepted():
     _assert_same_trajectory(traj, _reference_solve(replace(ivp, system=scripted())))
 
 
+@pytest.mark.parametrize("s", [1e200, 1e300])
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the reference squares the ratios
+def test_an_error_ratio_too_large_to_square_rejects_the_step_like_numpy_reference(s):
+    # as above, but k7 = (s, s): the first step's error ratios are 2.5e4 * s,
+    # beyond 1.35e154, so their squares are inf, and beyond 1e300 when s = 1e300
+    def scripted():
+        calls = itertools.count(1)
+
+        class Scripted(ReducedSystem):
+            def rhs(self, x, y):
+                return (s, s) if next(calls) == 7 else (0.0, 0.0)
+
+        return Scripted(EULER.f1, EULER.f2)
+
+    ivp = IVP(scripted(), 1.0, 0.5, (0.0, 0.0), atol=1e-12)
+    traj = solve(ivp)
+    assert traj.meta["n_rejected"] == 1 and traj.xs[1] == 1.0 - 1e-7
+    _assert_same_trajectory(traj, _reference_solve(replace(ivp, system=scripted())))
+
+
 _COMPONENT = st.one_of(st.just(0.0), st.floats(-1e12, 1e12, allow_nan=False),
                        st.floats(-1e-150, 1e-150, allow_nan=False))
 
@@ -715,7 +735,7 @@ def _same_bits(a, b):
 def test_rhs_is_the_generated_function_and_only_the_stock_one_is_inlined(monkeypatch, make):
     system = make(EULER)
     y = (0.3, -0.2, 1e-3, 2e-3)[: system.dimension]
-    want = system._compiled((0.25, *y))
+    want = system._compiled(0.25, *y)
     assert system._compiled.__code__.co_filename == "<compile_expr>"
     assert system.rhs(0.25, y) == type(system).rhs(system, 0.25, y) == want
     assert inlines_rhs(system)

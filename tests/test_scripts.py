@@ -99,6 +99,8 @@ def test_two_dumps_of_the_generated_code_compare_identical(tmp_path):
     # the kernel as configured and with log substitution forced on
     assert kernel.count("def dopri5(") == 2 and "x = exp(t)" in kernel
     assert (tmp_path / "new" / "census z1.py").is_file()
+    # the exact side's functions: curve substitution and the q-short polynomials
+    assert "def _compiled(" in (tmp_path / "new" / "_compiled.py").read_text()
     proc = compare_suite(tmp_path / "old", tmp_path / "new")
     assert (proc.returncode, proc.stdout) == (0, "identical\n")
 

@@ -466,7 +466,7 @@ def test_poly_coefficients_agree_with_exact_evaluation(tree, points):
     p = expr_to_poly(to_text(tree))
     exact = compile_expr(tree, ("x",), F)
     for q in points:
-        assert sum(c * q**i for i, c in enumerate(p.coeffs)) == exact((q,))
+        assert sum(c * q**i for i, c in enumerate(p.coeffs)) == exact(q)
 
 
 # -- integer kernels against the Fraction loops ---------------------------------------
