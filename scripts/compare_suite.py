@@ -3,36 +3,32 @@
 
     python scripts/compare_suite.py OLD NEW
 
-Each JSON file (every ``report.json`` and the suite's ``summary.json``) is
-compared after ``report.strip_timestamps``, and every other file (SVG, CSV,
-a saved copy of the suite's stdout) byte for byte.  A file on one side only
-is a difference.  Exits 0 when the two runs are the same; otherwise prints
+Every file (JSON reports, SVG, CSV, a saved copy of the suite's stdout) is
+compared byte for byte, except that in JSON files the value of each
+``"generated_at"`` key is masked.  So a change of JSON layout, such as its
+indentation or key order, is a difference.  A file on one side only is a
+difference too.  Exits 0 when the two runs are the same; otherwise prints
 the paths that differ and exits 1.
 """
 
-import json
+import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout first
-
-from interlace.report import load_json, strip_timestamps  # noqa: E402
+_STAMP = re.compile(rb'"generated_at": "[^"]*"')
 
 
 def _files(root):
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-def _canonical(path):
-    return json.dumps(strip_timestamps(load_json(path)), sort_keys=True)
+def _bytes(path):
+    data = path.read_bytes()
+    return _STAMP.sub(b'"generated_at": ""', data) if path.suffix == ".json" else data
 
 
 def _same(old, new):
-    if not (old.is_file() and new.is_file()):
-        return False
-    if old.suffix == ".json":
-        return _canonical(old) == _canonical(new)
-    return old.read_bytes() == new.read_bytes()
+    return old.is_file() and new.is_file() and _bytes(old) == _bytes(new)
 
 
 def differing(old, new):

@@ -16,7 +16,7 @@ Library layout:
 * ``registry``  catalog of worked examples with their expected facts
 * ``pipelines`` one runner per command, from a ``RunConfig`` to a report
                 payload, and the registry suite
-* ``report``    canonical JSON and SVG plots
+* ``report``    every artifact format: canonical JSON, trajectory CSV, SVG plots
 * ``errors``    error taxonomy and its exit codes
 * ``cli``       command-line front end
 """

@@ -13,6 +13,8 @@ DSL; ``E(...)`` and ``exp(...)`` calls are only enabled for curves)::
 Precedence is the standard one: ^  >  unary -  >  * /  >  + -.  A literal
 ``p/q`` between two integer tokens folds to a single rational constant; all
 other structure is kept verbatim so that parse -> print -> parse is stable.
+Nesting deeper than ``MAX_DEPTH`` levels is rejected before any walker can
+exhaust the interpreter's stack.
 
 ``straight_line`` is the one evaluator of these trees, over four algebras:
 float, Fraction, ``series.Poly`` and ``TruncatedSeries``.  It emits a
@@ -80,6 +82,9 @@ class Call:
 
 
 CALL_NAMES = ("E", "exp")
+
+MAX_DEPTH = 100  # nesting levels; every tree walker recurses a few frames per level
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -212,8 +217,46 @@ class _Parser:
 
 
 def parse_expr(text, variables, allow_calls=False):
-    """Parse ``text`` into an expression tree over the given identifiers."""
-    return _Parser(text, variables, allow_calls).parse()
+    """Parse ``text`` into an expression tree over the given identifiers.
+
+    Nesting beyond ``MAX_DEPTH`` is a ``ValueError``, found in the tokens
+    before the parser recurses into them and in the tree after.
+    """
+    parser = _Parser(text, variables, allow_calls)
+    _check_nesting(parser.tokens)
+    tree = parser.parse()
+    _check_depth(tree)
+    return tree
+
+
+def _check_nesting(tokens):
+    """Each open parenthesis, and each unary minus awaiting its operand, is a level."""
+    waiting, prev = [0], "("  # unary minuses awaiting an operand, per open parenthesis
+    for i, (kind, text, _) in enumerate(tokens):
+        if text == "(":
+            waiting.append(0)
+        elif text == "-" and prev in ("(", "+", "-", "*", "/", ","):
+            waiting[-1] += 1
+        elif text == ")" or kind == "num" or (kind == "ident" and tokens[i + 1][1] != "("):
+            if text == ")" and len(waiting) > 1:
+                waiting.pop()
+            waiting[-1] = 0  # an operand is complete, and so are its minuses
+        if len(waiting) - 1 + sum(waiting) > MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        prev = text
+
+
+_CHILDREN = {Neg: ("arg",), BinOp: ("lhs", "rhs"), Pow: ("base",), Call: ("arg",)}
+
+
+def _check_depth(tree):
+    """Each operator node is a level; the walk keeps its own stack."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        stack += [(getattr(node, name), depth + 1) for name in _CHILDREN.get(type(node), ())]
 
 
 # -- printing -----------------------------------------------------------

@@ -302,12 +302,14 @@ def invariance_check(v: VectorField3, c: FormalCurve, order: int, tolerance=1e-3
     mode = comps[0].mode
     try:
         h = _series.shift_divide(images[pivot], derivs[pivot])
+        products = [h * d for d in derivs]
         residuals = tuple(
-            (images[j].truncated(h.order) - h * derivs[j]) for j in range(len(comps))
+            images[j].truncated(h.order) - products[j] for j in range(len(comps))
         )
     except NonUnitDivisorError:
         # xi_pivot(C) has a lower valuation than C_pivot': no series h exists
         h = None
+        products = []
         residuals = tuple(
             images[j] * derivs[pivot] - images[pivot] * derivs[j]
             for j in range(len(comps))
@@ -318,10 +320,7 @@ def invariance_check(v: VectorField3, c: FormalCurve, order: int, tolerance=1e-3
 
     # magnitudes stay in the coefficient domain: exact ones outgrow floats
     max_res = _magnitude(residuals)
-    compared = list(images)
-    if h is not None:
-        compared.extend(h * d for d in derivs)
-    scale = max(_magnitude(compared), 1)
+    scale = max(_magnitude(images + products), 1)
     if mode.exact:
         invariant = h is not None and all(r.is_zero() for r in residuals)
         tol = 0.0

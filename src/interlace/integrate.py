@@ -123,10 +123,6 @@ class Trajectory:
             raise ValueError("trajectory grid must be strictly decreasing")
         self.meta = dict(meta or {})
 
-    @property
-    def dimension(self):
-        return len(self.cols)
-
     def domain(self):
         return self.xs[-1], self.xs[0]
 
@@ -160,12 +156,6 @@ class Trajectory:
         part.dcols = tuple(self.dcols[k] for k in cols)
         part.meta = dict(self.meta)
         return part
-
-    def write_csv(self, fh):
-        names = ["x", "y1", "y2", "z1", "z2"][: 1 + self.dimension]
-        fh.write(",".join(names) + "\n")
-        for row in zip(self.xs, *self.cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _floats(values):

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .curve import _split_components, iterated_tangents, parse_curve
 from .expr import compile_expr, parse_expr, to_text, variables_of
 from .field import ReducedSystem, VectorField3, invariance_check
-from .integrate import IVP, Trajectory, solve, solve_pair
+from .integrate import IVP, solve, solve_pair
 from .registry import ENTRIES, RegistryEntry, get as get_entry
 from .series import EXACT, Poly, float_mode, q_short_check
 
@@ -129,8 +129,8 @@ def _ivp(config, runs):
     )
 
 
-def _ivp_payload(command, config, ivp, traj, outdir):
-    """Payload fields, and trajectory.csv, shared by pair and integrate runs."""
+def _ivp_payload(command, config, ivp, meta, columns, outdir):
+    """Payload fields, and trajectory.csv of ``columns``, shared by pair and integrate runs."""
     payload = {
         "command": command,
         "example": config.example,
@@ -141,15 +141,13 @@ def _ivp_payload(command, config, ivp, traj, outdir):
         "integrator": {
             "rtol": config.rtol,
             "atol": config.atol,
-            "n_steps": traj.meta.get("n_steps"),
-            "log_substitution": traj.meta.get("log_substitution"),
+            "n_steps": meta.get("n_steps"),
+            "log_substitution": meta.get("log_substitution"),
         },
         "artifacts": {},
     }
     if outdir is not None:
-        Path(outdir).mkdir(parents=True, exist_ok=True)
-        with open(Path(outdir) / "trajectory.csv", "w") as fh:
-            traj.write_csv(fh)
+        _report.write_csv(Path(outdir) / "trajectory.csv", columns)
         payload["artifacts"]["trajectory_csv"] = "trajectory.csv"
     return payload
 
@@ -169,8 +167,8 @@ def run_pair(config, entry=None, outdir=None):
     pair_report = _dichotomy.build_pair_report(
         gamma, eps, probes, census_exprs, thresholds
     )
-    joint = Trajectory(gamma.xs, gamma.cols + eps.cols, gamma.dcols + eps.dcols, gamma.meta)
-    payload = _ivp_payload("classify-pair", config, ivp, joint, outdir)
+    columns = (gamma.xs, *gamma.cols, *eps.cols)
+    payload = _ivp_payload("classify-pair", config, ivp, gamma.meta, columns, outdir)
     payload["eps0"] = list(eps0)
     payload["integrator"]["n_rejected"] = gamma.meta.get("n_rejected")
     payload["integrator"]["max_error_ratio"] = gamma.meta.get("max_error_ratio")
@@ -207,7 +205,7 @@ def _contact_probes(probes, ivp):
 def run_integrate(config, entry=None, outdir=None):
     ivp = _ivp(config, "integrate")
     traj = solve(ivp)
-    payload = _ivp_payload("integrate", config, ivp, traj, outdir)
+    payload = _ivp_payload("integrate", config, ivp, traj.meta, (traj.xs, *traj.cols), outdir)
     payload["final"] = {"x": traj.xs[-1], "y": [c[-1] for c in traj.cols]}
     return payload, 0
 

@@ -14,6 +14,7 @@ import pytest
 from interlace import pipelines
 from interlace.cli import build_parser, config_from_args, main
 from interlace.config import RunConfig, parse_config_text
+from interlace.expr import MAX_DEPTH
 from interlace.registry import ENTRIES
 from interlace.report import load_json, strip_timestamps
 
@@ -534,6 +535,45 @@ def test_set_contact_probes_outside_the_run_are_usage_errors(probe, capsys, monk
 def test_non_unit_denominators_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# every command that takes an expression, with "{}" where a nested one goes
+_NESTED = {
+    "invariance-field": (["invariance", "--field", "{}", "y", "z", "--curve", "t,t,t",
+                          "--order", "4"], "x"),
+    "invariance-curve": (["invariance", "--field", "x", "y", "z", "--curve", "t,{},t",
+                          "--order", "4"], "t"),
+    "classify-pair-f1": (["classify-pair", "--f1", "{}", "--f2", "y2", "--x-start", "0.5",
+                          "--x-end", "0.2", "--y0", "1,1", "--eps0", "0.1,0"], "y1"),
+    "classify-pair-census": (["classify-pair", "--example", "euler_pair", "--census", "{}"], "z1"),
+    "integrate": (["integrate", "--f1", "{}", "--f2", "y2", "--x-start", "0.5",
+                   "--x-end", "0.2", "--y0", "1,1"], "y1"),
+    "tangents": (["tangents", "--curve", "t,{},t^3"], "t"),
+    "qshort": (["qshort", "--poly", "{}"], "x"),
+    "relations": (["relations", "--curve", "x,{}", "--deg", "1"], "x"),
+}
+_NESTINGS = {
+    "parens": lambda leaf, n: "(" * n + leaf + ")" * n,  # checked on the tokens
+    "product": lambda leaf, n: "1*" * n + leaf,  # left-deep: checked on the tree
+}
+
+
+@pytest.mark.parametrize("nesting", list(_NESTINGS))
+@pytest.mark.parametrize("command", list(_NESTED))
+def test_expressions_nest_up_to_the_limit_and_no_deeper(command, nesting, capsys):
+    template, leaf = _NESTED[command]
+
+    def argv(levels):
+        text = _NESTINGS[nesting](leaf, levels)
+        return [a.replace("{}", text) for a in template]
+
+    plain = run(argv(0))
+    capsys.readouterr()
+    # at the limit the run goes through as the plain leaf does
+    assert run(argv(MAX_DEPTH)) == plain
+    assert capsys.readouterr().err == ""
+    assert run(argv(MAX_DEPTH + 1)) == 2
+    assert capsys.readouterr().err == f"error: expression nests deeper than {MAX_DEPTH} levels\n"
 
 
 def test_config_file_feeds_the_cli(tmp_path, capsys):

@@ -431,7 +431,7 @@ class _Budgeted(Trajectory):
 
 def _budgeted(traj, budget):
     """``traj`` whose dense output raises _Hung after ``budget`` calls."""
-    part = traj.slice(range(traj.dimension))
+    part = traj.slice(range(len(traj.cols)))
     part.__class__, part.budget = _Budgeted, budget
     return part
 

@@ -15,6 +15,7 @@ from interlace.errors import (
 )
 from interlace.expr import (
     CALL_NAMES,
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -52,6 +53,36 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("x +", XYZ)
     assert err.value.offset == 3
+
+
+@pytest.mark.parametrize("nested", [
+    lambda n: "(" * n + "x" + ")" * n,
+    lambda n: "-" * n + "x",
+    lambda n: "-(" * (n // 2) + "-" * (n % 2) + "x" + ")" * (n // 2),  # two levels each
+    lambda n: "E(" * n + "x" + ")" * n,
+    lambda n: "-E(" * (n // 2) + "-" * (n % 2) + "x" + ")" * (n // 2),  # a call ends at its ")"
+    lambda n: "x" + "*x" * n,  # left-deep: only the tree is deep
+    lambda n: "x/(" * n + "x" + ")" * n,
+], ids=["parens", "minus", "minus-parens", "calls", "minus-calls", "product", "quotients"])
+def test_nesting_is_limited_on_the_tokens_and_on_the_tree(nested):
+    parse_expr(nested(MAX_DEPTH), XYZ, allow_calls=True)
+    with pytest.raises(ValueError, match=f"^expression nests deeper than {MAX_DEPTH} levels$"):
+        parse_expr(nested(MAX_DEPTH + 1), XYZ, allow_calls=True)
+
+
+def _balanced(leaf, k):
+    return leaf if k == 0 else f"({_balanced(leaf, k - 1)})*-({_balanced(leaf, k - 1)})"
+
+
+@pytest.mark.parametrize("text", [
+    *(_balanced(leaf, 8) for leaf in ["-x", "x^-2", "-E(-x)", "-(-x)"]),
+    "+".join(["-x*-x*-E(x)"] * 40),  # 120 unary minuses side by side
+], ids=["minus", "exponent", "call", "parens", "side-by-side"])
+def test_levels_close_with_their_operands(text):
+    # an operand closes its parentheses and unary minuses, and an exponent's
+    # sign is no level, so none of these is more than 45 levels deep
+    assert text.count("-") > MAX_DEPTH
+    parse_expr(text, XYZ, allow_calls=True)
 
 
 def test_unknown_identifier_rejected():

@@ -1,7 +1,6 @@
 """Adaptive integration: closed-form oracles, dense output, error taxonomy."""
 
 import copy
-import io
 import itertools
 import math
 from array import array
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interlace import integrate
+from interlace import integrate, report
 from interlace.errors import (
     AdaptedChartError,
     BlowUpError,
@@ -189,11 +188,10 @@ def test_trajectory_grid_is_strictly_decreasing():
     assert traj.domain() == (0.1, 0.5)
 
 
-def test_csv_dump_format():
+def test_csv_dump_format(tmp_path):
     traj = solve(IVP(sys2("y1/x"), 1.0, 0.5, (1.0, 1.0)))
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    path = report.write_csv(tmp_path / "trajectory.csv", (traj.xs, *traj.cols))
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "x,y1,y2"
     first = lines[1].split(",")
     assert len(first) == 3

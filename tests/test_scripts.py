@@ -59,6 +59,11 @@ def test_compare_suite_ignores_only_the_timestamps(tmp_path):
     proc = compare_suite(old, new)
     assert (proc.returncode, proc.stdout) == (0, "identical\n")
 
+    # the same JSON value in another layout is a difference
+    (new / "pair" / "report.json").write_text('{\n  "generated_at": "x",\n  "verdict": "Hardy"\n}\n')
+    proc = compare_suite(old, new)
+    assert (proc.returncode, proc.stdout.splitlines()) == (1, ["pair/report.json", "1 paths differ"])
+
     (new / "pair" / "trajectory.csv").write_text("x,y\n1,2.0\n")
     (new / "pair" / "report.json").write_text('{"generated_at": "x", "verdict": "Interlaced"}\n')
     (old / "stdout.txt").write_text("suite: all facts verified\n")
