@@ -31,7 +31,7 @@ import functools
 import numbers
 import re
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import series as _series
@@ -225,7 +225,8 @@ def parse_expr(text, variables, allow_calls=False):
     parser = _Parser(text, variables, allow_calls)
     _check_nesting(parser.tokens)
     tree = parser.parse()
-    _check_depth(tree)
+    if any(depth > MAX_DEPTH for _, depth in _walk(tree)):  # each operator node is a level
+        raise ValueError(_TOO_DEEP)
     return tree
 
 
@@ -246,17 +247,22 @@ def _check_nesting(tokens):
         prev = text
 
 
-_CHILDREN = {Neg: ("arg",), BinOp: ("lhs", "rhs"), Pow: ("base",), Call: ("arg",)}
+_CHILDREN = {Num: (), Var: (), Neg: ("arg",), BinOp: ("lhs", "rhs"), Pow: ("base",), Call: ("arg",)}
 
 
-def _check_depth(tree):
-    """Each operator node is a level; the walk keeps its own stack."""
+def _walk(tree):
+    """(node, depth) for every node of ``tree``, each before its children, on one explicit stack.
+
+    Reversed, the walk lists every node after its children, in field order.
+    """
     stack = [(tree, 0)]
     while stack:
         node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ValueError(_TOO_DEEP)
-        stack += [(getattr(node, name), depth + 1) for name in _CHILDREN.get(type(node), ())]
+        fields = _CHILDREN.get(type(node))
+        if fields is None:
+            raise TypeError(f"not an expression node: {node!r}")
+        yield node, depth
+        stack += [(getattr(node, name), depth + 1) for name in fields]
 
 
 # -- printing -----------------------------------------------------------
@@ -307,37 +313,23 @@ def to_text(node) -> str:
 
 
 def variables_of(node):
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Neg):
-        return variables_of(node.arg)
-    if isinstance(node, BinOp):
-        return variables_of(node.lhs) | variables_of(node.rhs)
-    if isinstance(node, Pow):
-        return variables_of(node.base)
-    if isinstance(node, Call):
-        return variables_of(node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
+    return {n.name for n, _ in _walk(node) if isinstance(n, Var)}
 
 
 def rename_vars(node, mapping):
     """Substitute variables by expressions (or other variable names)."""
-    if isinstance(node, Var):
-        repl = mapping.get(node.name, node)
-        return Var(repl) if isinstance(repl, str) else repl
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Neg):
-        return Neg(rename_vars(node.arg, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, rename_vars(node.lhs, mapping), rename_vars(node.rhs, mapping))
-    if isinstance(node, Pow):
-        return Pow(rename_vars(node.base, mapping), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.fn, rename_vars(node.arg, mapping))
-    raise TypeError(f"not an expression node: {node!r}")
+    done = []  # the rebuilt subtrees, each node's children on top in field order
+    for n, _ in reversed(list(_walk(node))):
+        fields = _CHILDREN[type(n)]
+        if fields:
+            kids = done[-len(fields):]
+            del done[-len(fields):]
+            n = replace(n, **dict(zip(fields, kids)))
+        elif isinstance(n, Var):
+            n = mapping.get(n.name, n)
+            n = Var(n) if isinstance(n, str) else n
+        done.append(n)
+    return done[0]
 
 
 def fold_constant(node):
@@ -375,8 +367,9 @@ def compile_expr(node, names, const=float, calls=None, label="_compiled"):
     ``series.Poly`` or ``series.TruncatedSeries``.  ``const`` maps literals
     into that algebra; ``calls`` maps ``E``/``exp`` to functions, and without
     it a call is rejected.  A zero divisor raises EvaluationSingularityError
-    naming the sub-expression, and the point when its values are numbers; a
-    series divisor without constant term raises NonUnitDenominatorError.
+    naming the sub-expression, and the point when there are names and their
+    values are numbers; a series divisor without constant term raises
+    NonUnitDenominatorError.
     """
     names = tuple(names)
     trees = node if isinstance(node, tuple) else (node,)
@@ -404,8 +397,9 @@ def straight_line(trees, names, const=float, calls=None):
     for a temporary, ``_g2`` for a global); constants, exponents, calls and
     the trees behind error messages are bound through the globals.
 
-    A zero divisor raises EvaluationSingularityError before it is used, and
-    a series divisor without constant term raises NonUnitDenominatorError.
+    A quotient or negative power fails as its algebra does (ZeroDivisionError,
+    or NonUnitDivisorError for series); its one ``except`` raises
+    EvaluationSingularityError or NonUnitDenominatorError naming the tree.
     A literal that ``const`` overflows on, or rounds to zero though it is
     not, is a ValueError naming it.
     """
@@ -424,24 +418,22 @@ class _Codegen:
         self.names, self.const, self.calls = names, const, calls
         self.lines = []
         self.local = {}  # structural key -> name holding that value
-        self.subexprs = subexprs = []  # trees named by the error paths, by index
-        self.nonzero = set()  # divisors already tested
+        self.quotients = quotients = []  # (quotient, denominator) per guarded line
 
         # the globals must not refer back to self or the function: a cycle
         # would keep every compiled function alive until a full collection
-        def singular(i, point):
-            numeric = all(isinstance(v, numbers.Number) for v in point)
+        def quotient_error(i, exc, point):
+            node, den = quotients[i]
+            if isinstance(exc, NonUnitDivisorError):
+                den = to_text(den)
+                return NonUnitDenominatorError(f"denominator {den!r} has zero constant term")
+            numeric = point and all(isinstance(v, numbers.Number) for v in point)
             env = dict(zip(names, point)) if numeric else None
-            return EvaluationSingularityError(to_text(subexprs[i]), env)
-
-        def non_unit(i):
-            den = to_text(subexprs[i])
-            return NonUnitDenominatorError(f"denominator {den!r} has zero constant term")
+            return EvaluationSingularityError(to_text(node), env)
 
         self.globals = {
-            "_singular": singular,
-            "_non_unit": non_unit,
-            "_NonUnitDivisorError": NonUnitDivisorError,
+            "_quotient_error": quotient_error,
+            "_DivisionErrors": (ZeroDivisionError, NonUnitDivisorError),
         }
 
     def _global(self, key, value):
@@ -474,13 +466,12 @@ class _Codegen:
             value = f"{lhs} {op} {rhs}"
             if op != "/":
                 return self._assign((op, lhs, rhs), value)
-            return self._assign(("/", lhs, rhs), value, (rhs, node, node.rhs))
+            return self._assign(("/", lhs, rhs), value, (node, node.rhs))
         if isinstance(node, Pow):
             base = self.emit(node.base)
             n = self._global(("int", node.exponent), node.exponent)
-            if node.exponent >= 0:
-                return self._assign(("^", base, n), f"{base} ** {n}")
-            return self._assign(("^", base, n), f"{base} ** {n}", (base, node, node))
+            quotient = (node, node) if node.exponent < 0 else None  # 1/base^-n
+            return self._assign(("^", base, n), f"{base} ** {n}", quotient)
         if isinstance(node, Call):
             if self.calls is None:
                 raise UnknownIdentifierError(
@@ -491,37 +482,28 @@ class _Codegen:
             return self._assign(("call", fn, arg), f"{fn}({arg})")
         raise TypeError(f"not an expression node: {node!r}")
 
-    def _assign(self, key, value, guard=None):
+    def _assign(self, key, value, quotient=None):
         """``_tN = value`` unless ``key`` was computed before.
 
-        ``guard`` is (divisor, node, denominator): the divisor is tested for
-        zero once, a constant while compiling and a computed value before its
-        first use, and a non-unit series divisor is reported as the denominator.
+        ``quotient`` is (node, denominator) for a quotient or a negative
+        power: its one ``except`` maps the algebra's own failure, a
+        ZeroDivisionError or a series NonUnitDivisorError, to the error
+        naming ``node`` (with the point) or the non-unit ``denominator``.
         """
         if key in self.local:
             return self.local[key]
         name = self.local[key] = f"_t{len(self.local)}"
-        if guard is not None:
-            divisor, node, den = guard
-            self.subexprs += [node, den]
-            if divisor in self.globals and not self.globals[divisor] == 0:
-                self.nonzero.add(divisor)
-            if divisor not in self.nonzero:
-                self.nonzero.add(divisor)
-                point = "(" + "".join(f"_v{i}, " for i in range(len(self.names))) + ")"
-                self.lines += [
-                    f"if {divisor} == 0:",
-                    f"    raise _singular({len(self.subexprs) - 2}, {point})",
-                ]
-        if guard is None:
+        if quotient is None:
             self.lines.append(f"{name} = {value}")
-        else:
-            self.lines += [
-                "try:",
-                f"    {name} = {value}",
-                "except _NonUnitDivisorError:",
-                f"    raise _non_unit({len(self.subexprs) - 1}) from None",
-            ]
+            return name
+        self.quotients.append(quotient)
+        point = "(" + "".join(f"_v{i}, " for i in range(len(self.names))) + ")"
+        self.lines += [
+            "try:",
+            f"    {name} = {value}",
+            "except _DivisionErrors as exc:",
+            f"    raise _quotient_error({len(self.quotients) - 1}, exc, {point}) from None",
+        ]
         return name
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 from . import expr as _expr
 from . import series as _series
@@ -171,7 +171,8 @@ def _delta(node):
 
     Divided-difference arithmetic (Reps & Rall, HOSC 16, 2003):
     Δ(ab) = Δa b(y+z) + a Δb, Δ(a/b) = (Δa b - a Δb)/(b b(y+z)), and Δ(a^n)
-    is Δa times the geometric sum of a(y+z)^k a^(n-1-k).  A literal divisor c
+    is Δa times the geometric sum of a(y+z)^k a^(n-1-k), built by halving n
+    (``_geometric_sum``) so that the tree grows with log n.  A literal divisor c
     whose reciprocal is a finite nonzero float gives 1/c Δa, which rounds as
     the expanded quotient did; any other keeps Δa / c.
     """
@@ -225,16 +226,21 @@ def _delta_pow(node):
     if da is None or n == 0:
         return None, node
     if m > 1:  # a^m(y+z) - a^m = Δa times the sum of a(y+z)^k a^(m-1-k)
-        terms = []
-        for k in range(m):
-            pair = [(a1, k), (node.base, m - 1 - k)]
-            factors = [f if e == 1 else _expr.Pow(f, e) for f, e in pair if e]
-            terms.append(factors[0] if len(factors) == 1 else _expr.BinOp("*", *factors))
-        da = _expr.BinOp("*", da, reduce(_add, terms))
+        da = _expr.BinOp("*", da, _geometric_sum(a1, node.base, m))
     if n < 0:  # a^n = 1/a^m
         den = _expr.BinOp("*", _expr.Pow(node.base, m), _expr.Pow(a1, m))
         da = _expr.BinOp("/", _expr.Neg(da), den)
     return da, _expr.Pow(a1, n)
+
+
+def _geometric_sum(a1, a, m):
+    """S_m = sum of a1^k a^(m-1-k) over k < m, for m >= 2, in O(log m) nodes:
+    S_2h = S_h (a^h + a1^h) and S_2h+1 = a1 S_2h + a^2h, from S_1 = 1."""
+    h = m // 2
+    even = _expr.BinOp("+", *(f if h == 1 else _expr.Pow(f, h) for f in (a, a1)))
+    if h > 1:
+        even = _expr.BinOp("*", _geometric_sum(a1, a, h), even)
+    return even if m % 2 == 0 else _expr.BinOp("+", _expr.BinOp("*", a1, even), _expr.Pow(a, 2 * h))
 
 
 def _add(a, b):

@@ -15,10 +15,12 @@ the error norm.  Every stage runs a straight-line body in place: where the
 system's class keeps the stock ``field._rhs``, the system's own body
 (``expr.straight_line``), with no call and no tuple; for any other ``rhs``,
 such as a subclass override or a class-level wrapper, the one line
-``_r = rhs(x, state)``.  Accepted knots go straight into one ``array('d')``
-per component, the trajectory's float columns.  The order of floating-point
-operations is fixed so that results equal the numpy loop the generated code
-replaced (kept as a reference in the tests) bit for bit.
+``_r = rhs(x, state)``.  One handler around the whole integration turns a
+zero divisor or an overflow in any stage into a solver error at its x.
+Accepted knots go straight into one ``array('d')`` per component, the
+trajectory's float columns.  The order of floating-point operations is
+fixed so that results equal the numpy loop the generated code replaced
+(kept as a reference in the tests) bit for bit.
 
 ``solve_pair`` integrates the four-dimensional difference system so the gap
 between two nearby solutions is a state variable of its own: its relative
@@ -83,6 +85,10 @@ class IVP:
     def __post_init__(self):
         if not (self.x_start > self.x_end > 0):
             raise ValueError("need x_start > x_end > 0")
+        if not math.isfinite(self.x_start):
+            raise ValueError(f"x_start must be finite: {self.x_start}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1: {self.max_steps}")
         if self.rtol <= 0 or self.atol < 0:
             raise ValueError("tolerances must be positive")
         if not (math.isfinite(self.rtol) and math.isfinite(self.atol)):
@@ -225,9 +231,11 @@ def _kernel(system, logsub):
     system gets fresh globals.
 
     Every stage goes through ``_stage_lines``, which does what one
-    right-hand-side evaluation needs: map t to x, evaluate, turn failures
-    into solver errors with that stage's x, check finiteness and scale by x
-    under the substitution.  It evaluates by a straight-line body chosen
+    right-hand-side evaluation needs: map t to x, evaluate, check finiteness
+    and scale by x under the substitution.  One handler, around the whole
+    integration, turns an EvaluationSingularityError into AdaptedChartError
+    and an OverflowError or FloatingPointError into BlowUpError, at the x of
+    the failing stage.  A stage evaluates by a straight-line body chosen
     from the system's class (``field.inlines_rhs``): where ``rhs`` is the
     stock ``field._rhs``, the system's own body, inlined into each stage;
     for any other ``rhs`` (a subclass override, a class-level wrapper), the
@@ -344,6 +352,11 @@ def _kernel(system, logsub):
     ]
     body += [f"    {line}" for line in loop]
     body.append(f"return ts, {state(vec('c'))}, {state(vec('d'))}, n_steps, n_rejected, max_err")
+    body = ["try:", *(f"    {line}" for line in body),  # every stage sets x first
+            "except EvaluationSingularityError as exc:",
+            "    raise AdaptedChartError(str(exc), last_x=x) from exc",
+            "except (OverflowError, FloatingPointError) as exc:",
+            '    raise BlowUpError("right-hand side overflows the float range", last_x=x) from exc']
     source = "def dopri5(t, t1, y, rtol, atol, max_steps):\n" + "".join(
         f"    {line}\n" for line in body)
     namespace.update({
@@ -359,22 +372,16 @@ def _kernel(system, logsub):
 def _stage_lines(out, t, y, logsub, lines, results):
     """Kernel lines setting the names ``out`` to the right-hand side at (t, y).
 
-    ``y`` holds one source expression per component.  The stage binds x and
-    the state to the body's inputs ``_v0``, ``_v1``, ..., runs the
-    straight-line ``lines`` in place and reads each value from its name in
-    ``results``.  The values are Python floats and enter the stage sums as
-    they are, and a failure maps to a solver error with that x.
+    ``y`` holds one source expression per component.  The stage sets x
+    first, for the kernel's failure handler, binds x and the state to the
+    body's inputs ``_v0``, ``_v1``, ..., runs the straight-line ``lines`` in
+    place and reads each value from its name in ``results``.  The values are
+    Python floats and enter the stage sums as they are.
     """
-    evaluate = ["_v0 = x", *(f"_v{i} = {v}" for i, v in enumerate(y, start=1)), *lines,
-                *(f"{k} = {r}" for k, r in zip(out, results))]
     return [
         f"x = exp({t})" if logsub else f"x = {t}",
-        "try:",
-        *(f"    {line}" for line in evaluate),
-        "except EvaluationSingularityError as exc:",
-        "    raise AdaptedChartError(str(exc), last_x=x) from exc",
-        "except (OverflowError, FloatingPointError) as exc:",
-        "    raise BlowUpError(str(exc), last_x=x) from exc",
+        "_v0 = x", *(f"_v{i} = {v}" for i, v in enumerate(y, start=1)),
+        *lines, *(f"{k} = {r}" for k, r in zip(out, results)),
         # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
         f"if {' + '.join(f'({k} - {k})' for k in out)} != 0.0:",
         '    raise BlowUpError("non-finite right-hand side", last_x=x)',

@@ -325,12 +325,10 @@ class Poly:
             raise NonUnitDivisorError(f"polynomial valuation {self.val()} < {k}")
         return Poly(self.coeffs[k:], self.var)
 
-    # ring operations, for ``compile_expr`` over polynomials; a quotient that
-    # is not a polynomial raises ValueError
+    # ring operations, for ``compile_expr`` over polynomials; a zero divisor raises
+    # ZeroDivisionError, and a quotient that is not a polynomial ValueError
 
     def __eq__(self, other):
-        if isinstance(other, int):  # the zero test of compile_expr's divisor guard
-            return self.coeffs == Poly.from_coeffs([other]).coeffs
         return isinstance(other, Poly) and (self.coeffs, self.var) == (other.coeffs, other.var)
 
     def __neg__(self):
@@ -350,12 +348,16 @@ class Poly:
         return Poly.from_coeffs(_fractions(_convolve(a, b, n), da * db), self.var)
 
     def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
         if other.degree != 0:
             raise ValueError("division by a non-constant polynomial")
         return Poly(tuple(c / other.coeffs[0] for c in self.coeffs), self.var)
 
     def __pow__(self, n):
         if n < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of the zero polynomial")
             raise ValueError("negative power of a polynomial")
         result = Poly.from_coeffs([1], self.var)
         for _ in range(n):

@@ -88,6 +88,7 @@ def test_qshort_catalog_verdicts(capsys):
         ("x - x", "the zero polynomial has no valuation"),
         ("x*t", "polynomial must use one variable, found ['t', 'x']"),
         ("x/(x-x)", "division by zero in 'x/(x - x)'"),
+        ("0^-1", "division by zero in '0^-1'"),  # no variables, so no point
     ],
 )
 def test_qshort_rejects_what_is_not_a_nonzero_polynomial(poly, message, capsys):
@@ -407,6 +408,39 @@ def test_census_overflow_is_a_numerical_failure(capsys):
     err = capsys.readouterr().err
     assert err == ("numerical failure: census expression 'z1^-400' overflows the float range "
                    "(last x = 0.5)\n")
+
+
+def test_rhs_overflow_is_a_numerical_failure_in_words(capsys):
+    # 2.0^2000 overflows in the first stage; one line, no errno tuple
+    argv = ["integrate", "--f1", "y1^2000", "--f2", "y2", "--x-start", "0.5", "--x-end", "0.2"]
+    assert run([*argv, "--y0", "2,1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: right-hand side overflows the float range (last x = 0.5)\n")
+
+
+@pytest.mark.parametrize("exponent", ["1000", "1000000000"])
+def test_gap_of_a_high_power_is_classified(exponent, capsys):
+    # the gap's geometric sum grows with the exponent's logarithm, not the exponent
+    argv = ["classify-pair", "--f1", f"y1^{exponent}", "--f2", "y2", "--x-start", "0.5",
+            "--x-end", "0.2", "--y0", "0.5,1", "--eps0", "0.01,0"]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["integrate", "classify-pair"])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--x-start", "inf"], "", "x_start must be finite: inf"),
+    ([], "max_steps = -5\n", "max_steps must be at least 1: -5"),
+    ([], "max_steps = 0\n", "max_steps must be at least 1: 0"),
+])
+def test_infinite_start_and_step_budget_below_one_are_usage_errors(
+        command, flags, config, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    argv = [command, "--config", str(path), "--f1", "y1", "--f2", "y2", "--x-start", "1",
+            "--x-end", "0.2", "--y0", "1,1", *flags]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_field_without_three_components_is_a_usage_error(tmp_path, capsys):

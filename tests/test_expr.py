@@ -27,10 +27,12 @@ from interlace.expr import (
     fold_constant,
     parse_expr,
     rename_vars,
+    straight_line,
     substitute_series,
     to_text,
     variables_of,
 )
+from interlace.pipelines import expr_to_poly
 from interlace.series import EXACT, TruncatedSeries, euler_series, float_mode
 
 from _expr_reference import evaluate, substitute_series as substitute_series_reference
@@ -302,6 +304,57 @@ def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors(
         with pytest.raises(EvaluationSingularityError) as err:
             f(1.0, float(text[-2]))
         assert err.value.subexpr_text == text
+
+
+# one row per algebra: how it evaluates a text in x, with x bound to zero
+# (the exact constant folder sees the text with x replaced by 0)
+_ALGEBRAS = {
+    "float": lambda tree: compile_expr(tree, ("x",))(0.0),
+    "Fraction": lambda tree: compile_expr(rename_vars(tree, {"x": Num(F(0))}), (), F)(),
+    "mpf": lambda tree: evaluate_mp(tree, {"x": 0}),
+    "Poly": lambda tree: expr_to_poly(to_text(tree)),
+    "series": lambda tree: substitute_series(tree, {"x": TruncatedSeries.identity(4)}),
+}
+_SINGULAR_AT_ZERO = "division by zero in {!r} at {{'x': 0.0}}"
+_SINGULAR_AT_MP_ZERO = "division by zero in {!r} at {{'x': mpf('0.0')}}"
+_DIVISION_FAILURES = [
+    # (algebra, text, error type, message); the texts are a constant zero
+    # divisor, a computed one, a zero base to a negative power and a series
+    # divisor with no constant term
+    *(("float", t, EvaluationSingularityError, _SINGULAR_AT_ZERO.format(t))
+      for t in ("x/0", "x/(x - x)", "(x - x)^-2", "1/x")),
+    *(("Fraction", t, EvaluationSingularityError, f"division by zero in {z!r}")
+      for t, z in (("x/0", "0/0"), ("x/(x - x)", "0/(0 - 0)"), ("(x - x)^-2", "(0 - 0)^-2"),
+                   ("1/x", "1/0"))),
+    *(("mpf", t, EvaluationSingularityError, _SINGULAR_AT_MP_ZERO.format(t))
+      for t in ("x/0", "x/(x - x)", "(x - x)^-2", "1/x")),
+    *(("Poly", t, EvaluationSingularityError, f"division by zero in {t!r}")
+      for t in ("x/0", "x/(x - x)", "(x - x)^-2")),
+    ("Poly", "1/x", ValueError, "not a polynomial: '1/x'"),
+    *(("series", t, NonUnitDenominatorError, f"denominator {d!r} has zero constant term")
+      for t, d in (("x/0", "0"), ("x/(x - x)", "x - x"), ("(x - x)^-2", "(x - x)^-2"),
+                   ("1/x", "x"))),
+]
+
+
+@pytest.mark.parametrize("algebra, text, error, message", _DIVISION_FAILURES)
+def test_every_algebra_fails_a_quotient_the_same_way(algebra, text, error, message):
+    # each algebra raises its own ZeroDivisionError or NonUnitDivisorError;
+    # the quotient's one handler names the sub-expression, or the denominator
+    tree = parse_expr(text, ("x",))
+    with pytest.raises(error) as err:
+        _ALGEBRAS[algebra](tree)
+    assert str(err.value) == message
+    if algebra == "Fraction":
+        assert fold_constant(rename_vars(tree, {"x": Num(F(0))})) is None
+
+
+def test_each_quotient_has_one_handler_and_no_zero_test():
+    trees = tuple(parse_expr(t, XYZ) for t in ("x/y + 1/y", "y^-2 + x^2", "z/3"))
+    lines, _, namespace = straight_line(trees, XYZ)
+    assert sum(line.startswith("except ") for line in lines) == 4  # x/y, 1/y, y^-2, z/3
+    assert not [line for line in lines if line.startswith("if ") or "== 0" in line]
+    assert set(namespace) >= {"_quotient_error", "_DivisionErrors"}
 
 
 def test_compile_rejects_unbound_names_and_calls():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from interlace import expr
 from interlace.curve import parse_curve
 from interlace.errors import EvaluationSingularityError, NonAdaptedChartError
 from interlace.expr import (
@@ -211,6 +212,9 @@ _DYADIC = st.builds(F, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8]))
 )
 @example(parse_expr("(y - z)^3/(x*y)", XYZ), (F(1, 2), F(1), F(1)), (F(1), F(-1)), 40)
 @example(parse_expr("x/(y - z)^-2 + 3/z", XYZ), (F(1), F(2), F(1, 4)), (F(1, 2), F(0)), 5)
+@example(parse_expr("y^5 - z^13/x", XYZ), (F(3, 4), F(5, 4), F(-1, 2)), (F(1, 8), F(-3)), 7)
+@example(parse_expr("(x*y)^1000 + (y - z)^-1000", XYZ), (F(1), F(1, 2), F(2)), (F(1), F(-1)), 30)
+@example(parse_expr("y^-13 + z^-5*x", XYZ), (F(1, 4), F(-3, 2), F(5, 8)), (F(-5), F(3)), 12)
 @settings(max_examples=200, deadline=None)
 def test_gap_of_any_tree_is_the_literal_difference(tree, point, gaps, bits):
     # dyadic points are exact floats: the gap tree equals the literal
@@ -230,6 +234,29 @@ def test_gap_of_any_tree_is_the_literal_difference(tree, point, gaps, bits):
     )
     scale = max(abs(f_mp), abs(f_shifted_mp))
     assert abs(got_mp - want_mp) <= 1e-30 * max(abs(want_mp), scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 13, 1000, -1000])
+def test_gap_of_a_power_matches_bigfloat_literal_difference(n):
+    # the geometric sum of the gap of y1^n is built by halving n; it keeps
+    # the float gap's relative accuracy for gaps down to 1e-80
+    r = ReducedSystem.from_text(f"y1^{n}", "y2")
+    gaps = difference_system(r)
+    literal = BinOp("-", rename_vars(r.f1, SHIFTED), r.f1)
+    rng = random.Random(n)
+    for _ in range(60):
+        y1 = rng.uniform(0.9, 1.1)
+        z1 = rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) * 10.0 ** -rng.randint(1, 80)
+        env = {"x": 0.5, "y1": y1, "y2": 1.0, "z1": z1, "z2": 0.0}
+        got = gaps.rhs(0.5, (y1, 1.0, z1, 0.0))[2]
+        assert got == pytest.approx(float(evaluate_mp(literal, env, prec=400)), rel=1e-11, abs=0.0)
+
+
+def test_gap_of_a_power_grows_with_the_log_of_the_exponent():
+    d = difference_system(ReducedSystem.from_text(f"y1^{2**60}", "y2"))
+    assert sum(1 for _ in expr._walk(d.f3)) == 479
+    # at y1 = 1 every power is 1 and each halving doubles the sum: z1 2^60 exactly
+    assert d.rhs(0.5, (1.0, 1.0, 2.0**-70, 0.0))[2] == 2.0**-10
 
 
 def test_nonlinear_pair_matches_the_closed_form_gap():

@@ -19,6 +19,7 @@ from interlace.errors import (
     MaxStepsError,
     StiffnessError,
 )
+from interlace.expr import straight_line
 from interlace.field import DifferenceSystem, ReducedSystem, difference_system, inlines_rhs
 from interlace.integrate import IVP, solve, solve_pair
 from interlace.registry import ENTRIES
@@ -268,7 +269,7 @@ def _reference_solve(ivp):
         except EvaluationSingularityError as err:
             raise AdaptedChartError(str(err), last_x=x) from err
         except (OverflowError, FloatingPointError) as err:
-            raise BlowUpError(str(err), last_x=x) from err
+            raise BlowUpError("right-hand side overflows the float range", last_x=x) from err
         out = np.asarray(vals, dtype=float)
         if not np.all(np.isfinite(out)):
             raise BlowUpError("non-finite right-hand side", last_x=x)
@@ -662,7 +663,7 @@ _INLINE_FAILURES = {
     "zero-divisor": ("y1/(x - 1)", 1.0, 0.5, (1.0, 1.0), AdaptedChartError,
                      "division by zero in 'y1/(x - 1)' at {'x': 1.0"),
     "overflow": ("y1*x^-400", 1.0, 0.1, (0.0, 1.0), BlowUpError,
-                 "(34, 'Numerical result out of range')"),
+                 "right-hand side overflows the float range"),
     "non-finite": ("y1*(x^-200*x^-200)", 1.0, 0.1, (0.0, 1.0), BlowUpError,
                    "non-finite right-hand side"),
 }
@@ -686,6 +687,30 @@ def test_inlined_stage_fails_as_the_called_stage(failure, log_substitution, dime
     assert got == want
     assert got[0] is expected and got[1].startswith(message)
     assert x_end < got[2] <= x_start
+
+
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("make", [lambda s: s, difference_system, _pass_through],
+                         ids=["planar", "difference", "called"])
+def test_each_kernel_has_one_failure_handler(monkeypatch, make, log_substitution):
+    # every stage of every step shares the one handler around the integration
+    system = make(sys2("y1/(x - 1) + y2^-2", "y2/x"))
+    sources = []
+
+    def record(source, label, namespace):
+        sources.append(source)
+        return generated_function(source, label, namespace)
+
+    generated_function = integrate._expr.generated_function
+    monkeypatch.setattr(integrate._expr, "generated_function", record)
+    integrate._kernel(system, log_substitution)
+    (source,) = sources
+    assert source.count("except EvaluationSingularityError") == 1
+    assert source.count("except (OverflowError, FloatingPointError)") == 1
+    # besides, only the inlined quotients' own handlers, in each of 7 stages
+    quotients = 0 if make is _pass_through else sum(
+        line.startswith("except ") for line in straight_line(system.trees, system.variables)[0])
+    assert source.count("except ") == 7 * quotients + 2
 
 
 def test_only_reduced_and_difference_systems_integrate():
