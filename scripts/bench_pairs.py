@@ -19,7 +19,11 @@ pairs the change was better, and then two flags:
   median.
 
 A run that exits non-zero or prints no result is reported and left out of
-its pair.
+its pair.  A run in which fewer than ``MIN_SAMPLED_OPS`` ops (read from
+``op_raw_s``) last at least ``REF_PERIOD_S``, the host-speed sampling period
+of ``perfbench/run.py``, is kept but warned about: an op shorter than that
+period takes no host-speed sample, so the run's corrected times rest on
+few samples, or on none.
 
 ``--out`` writes the raw runs and the summary under ``workloads.W`` of a
 JSON file, keeping the other workloads already in that file.
@@ -31,6 +35,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+REF_PERIOD_S = 0.025  # perfbench/run.py samples the host's speed this often
+MIN_SAMPLED_OPS = 10
 
 
 def quartiles(values):
@@ -93,6 +100,15 @@ def format_summary(workload, summary, failed):
     return "\n".join(lines)
 
 
+def sampling_warning(op_raw_s):
+    """A warning when fewer than MIN_SAMPLED_OPS of the op times reach REF_PERIOD_S, else None."""
+    sampled = sum(t >= REF_PERIOD_S for t in op_raw_s)
+    if sampled >= MIN_SAMPLED_OPS:
+        return None
+    return (f"only {sampled} of {len(op_raw_s)} ops last the {REF_PERIOD_S * 1e3:g} ms "
+            "host-speed sampling period; its corrected times rest on few samples")
+
+
 def run_once(checkout, workload, seed, seconds):
     """(metric values, environment) of one benchmark process, or (None, None) if it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -104,6 +120,9 @@ def run_once(checkout, workload, seed, seconds):
         print(f"  {checkout} seed {seed}: exit {proc.returncode}: {tail[0]}", file=sys.stderr)
         return None, None
     result, info = json.loads(lines[-1]), json.loads(lines[-2])
+    warning = sampling_warning(info["op_raw_s"])
+    if warning:
+        print(f"  {checkout} seed {seed}: warning: {warning}", file=sys.stderr)
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values.update(correct=result["correct"], attempted=result["attempted"])
     return values, info["environment"]

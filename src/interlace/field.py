@@ -170,9 +170,11 @@ def _delta(node):
     """(node(y+z) - node(y), node(y+z)); the difference is None where no y occurs.
 
     Divided-difference arithmetic (Reps & Rall, HOSC 16, 2003):
-    Δ(ab) = Δa b(y+z) + a Δb, Δ(a/b) = (Δa b - a Δb)/(b b(y+z)), and Δ(a^n)
+    Δ(ab) = Δa b(y+z) + a Δb, Δ(a/b) = (Δa b - a Δb)/b/b(y+z), and Δ(a^n)
     is Δa times the geometric sum of a(y+z)^k a^(n-1-k), built by halving n
-    (``_geometric_sum``) so that the tree grows with log n.  A literal divisor c
+    (``_geometric_sum``) so that the tree grows with log n.  A divisor's two
+    factors divide in turn, so their product, which underflows where each
+    factor is a normal float, is never formed.  A literal divisor c
     whose reciprocal is a finite nonzero float gives 1/c Δa, which rounds as
     the expanded quotient did; any other keeps Δa / c.
     """
@@ -209,7 +211,7 @@ def _delta(node):
         num = _expr.Neg(_expr.BinOp("*", a, db))
     else:
         num = _expr.BinOp("-", _expr.BinOp("*", da, b), _expr.BinOp("*", a, db))
-    return _expr.BinOp("/", num, _expr.BinOp("*", b, b1)), shifted
+    return _expr.BinOp("/", _expr.BinOp("/", num, b), b1), shifted
 
 
 def _float_reciprocal(c):
@@ -227,9 +229,9 @@ def _delta_pow(node):
         return None, node
     if m > 1:  # a^m(y+z) - a^m = Δa times the sum of a(y+z)^k a^(m-1-k)
         da = _expr.BinOp("*", da, _geometric_sum(a1, node.base, m))
-    if n < 0:  # a^n = 1/a^m
-        den = _expr.BinOp("*", _expr.Pow(node.base, m), _expr.Pow(a1, m))
-        da = _expr.BinOp("/", _expr.Neg(da), den)
+    if n < 0:  # a^n = 1/a^m, divided by a^m and then by a(y+z)^m
+        da = _expr.BinOp("/", _expr.Neg(da), _expr.Pow(node.base, m))
+        da = _expr.BinOp("/", da, _expr.Pow(a1, m))
     return da, _expr.Pow(a1, n)
 
 

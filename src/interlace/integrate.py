@@ -286,12 +286,17 @@ def _kernel(system, logsub):
     step += [f"y4_{i} = {combine(_B4, i)}" for i in comps]
     for i in comps:
         # y is finite (IVP checks y0; an accepted y5 is finite), so a NaN in
-        # y5 carries into the scale as it does through np.maximum
+        # y5 carries into the scale as it does through np.maximum.  The
+        # magnitudes are conditional expressions, not abs() calls: a -0.0
+        # one adds to a scale that is never -0.0, and a -0.0 ratio is
+        # squared, so -0.0 and NaN give what abs gives
         step += [
-            f"au = abs(y_{i})",
-            f"a5 = abs(y5_{i})",
+            f"au = y_{i} if y_{i} >= 0.0 else -y_{i}",
+            f"a5 = y5_{i} if y5_{i} >= 0.0 else -y5_{i}",
             f"scale = atol_{i} + rtol * (au if au >= a5 else a5)",
-            f"diff = abs(y5_{i} - y4_{i})",
+            f"diff = y5_{i} - y4_{i}",
+            "if diff < 0.0:",
+            "    diff = -diff",
             "if scale > 0:",
             f"    r_{i} = diff / scale",
             "else:",

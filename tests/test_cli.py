@@ -427,6 +427,19 @@ def test_gap_of_a_high_power_is_classified(exponent, capsys):
     assert capsys.readouterr().err == ""
 
 
+_Z = "1" + "0" * 300
+
+
+@pytest.mark.parametrize("f1", [f"0-y1^-300/{_Z}", f"0-(1/y1^300)/{_Z}", f"0-1/(y1^300*{_Z})"])
+def test_gap_of_a_quotient_whose_divisor_product_underflows_is_classified(f1, capsys):
+    # y1^300 and (y1 + z1)^300 are near 1e-300; their product underflows to 0.0
+    argv = ["classify-pair", f"--f1={f1}", "--f2", "y2", "--x-start", "0.5", "--x-end", "0.2",
+            "--y0", "0.1,1", "--eps0", "1e-6,0"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert "verdict=HardyCandidate" in out and err == ""
+
+
 @pytest.mark.parametrize("command", ["integrate", "classify-pair"])
 @pytest.mark.parametrize("flags, config, message", [
     (["--x-start", "inf"], "", "x_start must be finite: inf"),

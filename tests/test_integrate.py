@@ -689,12 +689,8 @@ def test_inlined_stage_fails_as_the_called_stage(failure, log_substitution, dime
     assert x_end < got[2] <= x_start
 
 
-@pytest.mark.parametrize("log_substitution", [True, False])
-@pytest.mark.parametrize("make", [lambda s: s, difference_system, _pass_through],
-                         ids=["planar", "difference", "called"])
-def test_each_kernel_has_one_failure_handler(monkeypatch, make, log_substitution):
-    # every stage of every step shares the one handler around the integration
-    system = make(sys2("y1/(x - 1) + y2^-2", "y2/x"))
+def _kernel_source(monkeypatch, system, logsub):
+    """The source of the one function that ``_kernel(system, logsub)`` generates."""
     sources = []
 
     def record(source, label, namespace):
@@ -703,14 +699,34 @@ def test_each_kernel_has_one_failure_handler(monkeypatch, make, log_substitution
 
     generated_function = integrate._expr.generated_function
     monkeypatch.setattr(integrate._expr, "generated_function", record)
-    integrate._kernel(system, log_substitution)
+    integrate._kernel(system, logsub)
     (source,) = sources
+    return source
+
+
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("make", [lambda s: s, difference_system, _pass_through],
+                         ids=["planar", "difference", "called"])
+def test_each_kernel_has_one_failure_handler(monkeypatch, make, log_substitution):
+    # every stage of every step shares the one handler around the integration
+    system = make(sys2("y1/(x - 1) + y2^-2", "y2/x"))
+    source = _kernel_source(monkeypatch, system, log_substitution)
     assert source.count("except EvaluationSingularityError") == 1
     assert source.count("except (OverflowError, FloatingPointError)") == 1
     # besides, only the inlined quotients' own handlers, in each of 7 stages
     quotients = 0 if make is _pass_through else sum(
         line.startswith("except ") for line in straight_line(system.trees, system.variables)[0])
     assert source.count("except ") == 7 * quotients + 2
+
+
+@pytest.mark.parametrize("log_substitution", [True, False])
+@pytest.mark.parametrize("make", [lambda s: s, difference_system, _pass_through],
+                         ids=["planar", "difference", "called"])
+def test_no_kernel_calls_abs(monkeypatch, make, log_substitution):
+    # the error norm takes magnitudes by conditional expressions
+    system = make(sys2("y1/(x - 1) + y2^-2", "y2/x"))
+    source = _kernel_source(monkeypatch, system, log_substitution)
+    assert source.startswith("def dopri5(") and "abs(" not in source
 
 
 def test_only_reduced_and_difference_systems_integrate():

@@ -1,6 +1,8 @@
 """Artifact writers: the same bytes as the writers they replaced, on any input."""
 
+import enum
 import math
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -55,6 +57,77 @@ def test_json_matches_the_reference(payload):
     assert _outcome(lambda path: report.write_json(path, payload)) == want
 
 
+class _Int(int):
+    def __repr__(self):
+        return "an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "a float"
+
+
+class _Str(str):
+    def __repr__(self):
+        return "a str"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+subclassed = st.one_of(st.integers().map(_Int), floats.map(_Float), st.text(max_size=4).map(_Str),
+                       st.just(_Level.LOW))
+
+
+@st.composite
+def long_lists(draw):
+    """Hundreds of finite floats, with at most one other item in the middle."""
+    items = draw(st.lists(finite, min_size=1, max_size=8)) * draw(st.integers(25, 60))
+    odd = draw(st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, True, 7]),
+                         subclassed))
+    if odd is not None:
+        items.insert(len(items) // 2, odd)
+    return tuple(items) if draw(st.booleans()) else items
+
+
+def _circular():
+    items, table = [1.0], {"a": 1.0}
+    items.append(items)
+    table["b"] = [table]
+    return {"items": items}, {"table": table}
+
+
+@given(st.dictionaries(st.one_of(st.text(max_size=6), st.text(max_size=4).map(_Str)),
+                       st.one_of(long_lists(), subclassed, st.lists(subclassed, max_size=4)),
+                       max_size=4))
+@example({"a": [0.5] * 150 + [math.nan] + [1.5] * 150, "b": [2.5] * 200 + [-math.inf] + [3.5]})
+@example({"a": (0.5, True, 1.5), "b": [0.25, 3, -0.0], "c": [1.0, False]})
+@example({"a": [_Float(0.1), _Float(math.inf)], "b": _Int(-3), _Str("c"): _Str("\u00e9"),
+          "d": [_Level.LOW, 2.5], "e": [_Float(0.5)] * 3})
+@example({"a": {_Int(2): 1.0}, "b": {_Float(0.5): None}, "c": {True: 1, None: 2, -0.0: 3}})
+@example({"a": {1: 1.0, "b": 2.0}})  # keys that do not sort
+@example({"a": {(1, 2): 1.0}})  # a key json rejects
+@example({"a": [1.0, object()]})  # a value json rejects
+@example(_circular()[0])
+@example(_circular()[1])
+@settings(max_examples=100, deadline=None)
+def test_json_of_long_lists_and_subclasses_matches_the_reference(payload):
+    want = _outcome(lambda path: reference.write_json(path, payload))
+    assert _outcome(lambda path: report.write_json(path, payload)) == want
+
+
+@pytest.mark.parametrize("payload", [*_circular(), {"a": object()}, {"a": {(1,): 2}}],
+                         ids=["list", "dict", "value", "key"])
+def test_json_errors_match_the_reference(payload, tmp_path):
+    with pytest.raises((TypeError, ValueError)) as want:
+        reference.write_json(tmp_path / "want.json", payload)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        report.write_json(tmp_path / "got.json", payload)
+    assert not (tmp_path / "got.json").exists()
+
+
 def test_json_has_one_layout():
     got = _outcome(lambda path: report.write_json(path, {"b": (1.5, None), "a": True}))
     assert got == (
@@ -71,6 +144,23 @@ def test_json_has_one_layout():
 def test_csv_matches_the_reference(case):
     dim, columns = case
     traj = SimpleNamespace(dimension=dim, xs=columns[0], cols=tuple(columns[1:]))
+
+    def old(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            reference.write_csv(traj, fh)
+
+    assert _outcome(lambda path: report.write_csv(path, columns)) == _outcome(old)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.tuples(*[floats] * (1 + dim)), min_size=1, max_size=6)),
+    st.integers(400, 1000))
+@example([(0.1, math.nan, -0.0)], 3000)
+@settings(max_examples=25, deadline=None)
+def test_csv_of_thousands_of_rows_matches_the_reference(pattern, repeats):
+    columns = [list(c) for c in zip(*pattern * repeats)]
+    traj = SimpleNamespace(dimension=len(columns) - 1, xs=columns[0], cols=tuple(columns[1:]))
 
     def old(path):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -133,6 +223,9 @@ colors = st.sampled_from([report.BLUE, report.RED])
     st.lists(st.tuples(points, colors, st.sampled_from([1.5, 1.0])), max_size=3),
     st.lists(st.tuples(floats, floats, st.text(max_size=4)), max_size=3),
 )
+# each point finite, though x + y overflows; a span that overflows
+@example([([(1e308, 1e308), (1.7e308, -1e308)], report.BLUE, 1.5)], [])
+@example([([(-1.7e308, 1.0), (1.7e308, 2.0)], report.BLUE, 1.5)], [(0.0, 1.5, "k")])
 @settings(max_examples=200, deadline=None)
 def test_svg_matches_the_canvas(lines, markers):
     canvas = reference.SvgCanvas("title", "x label", "y label")
@@ -140,5 +233,6 @@ def test_svg_matches_the_canvas(lines, markers):
         canvas.add_line([x for x, _ in pts], [y for _, y in pts], color, width)
     for x, y, label in markers:
         canvas.add_marker(x, y, label)
-    got = _result(report._svg, "title", "x label", "y label", lines, markers)
+    columns = [([x for x, _ in pts], [y for _, y in pts], color, width) for pts, color, width in lines]
+    got = _result(report._svg, "title", "x label", "y label", columns, markers)
     assert got == _result(canvas.render)

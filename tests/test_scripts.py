@@ -210,3 +210,34 @@ def test_bench_pairs_bound_rule_on_synthetic_runs():
         "  ops_per_s: parent 4 [4, 4] -> change 3; change better in 0/5",
         "    gain_rule_met: False, within_bound: True",
     ]
+
+
+def test_bench_pairs_reads_the_benchmark_sampling_period():
+    bench = _load_script("bench_pairs")
+    source = (ROOT / "perfbench" / "run.py").read_text()
+    assert f"\nREF_PERIOD_S = {bench.REF_PERIOD_S!r}\n" in source
+
+
+def test_bench_pairs_warns_on_runs_of_few_sampled_ops():
+    bench = _load_script("bench_pairs")
+    period = bench.REF_PERIOD_S
+    assert bench.sampling_warning([period] * 10) is None
+    assert bench.sampling_warning([0.001] * 50 + [0.03] * 10) is None
+    assert bench.sampling_warning([0.0249] * 100 + [period] * 9) == (
+        "only 9 of 109 ops last the 25 ms host-speed sampling period; "
+        "its corrected times rest on few samples")
+    assert bench.sampling_warning([]).startswith("only 0 of 0 ops")
+
+
+def test_bench_pairs_warns_from_the_info_line_of_a_run(tmp_path, capsys):
+    bench = _load_script("bench_pairs")
+    (tmp_path / "perfbench").mkdir()
+    info = {"op_raw_s": [0.02] * 30 + [0.03] * 3, "environment": {"nproc": 1}}
+    result = {"correct": True, "attempted": 33, "metrics": {"ops_per_s": {"value": 40.0}}}
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import json\nprint(json.dumps({info!r}))\nprint(json.dumps({result!r}))\n")
+    values, env = bench.run_once(tmp_path, "relations_deg5", 7, 1.0)
+    assert values == {"ops_per_s": 40.0, "correct": True, "attempted": 33} and env == {"nproc": 1}
+    assert capsys.readouterr().err == (
+        f"  {tmp_path} seed 7: warning: only 3 of 33 ops last the 25 ms host-speed "
+        "sampling period; its corrected times rest on few samples\n")
