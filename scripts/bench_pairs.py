@@ -25,6 +25,11 @@ of ``perfbench/run.py``, is kept but warned about: an op shorter than that
 period takes no host-speed sample, so the run's corrected times rest on
 few samples, or on none.
 
+Each side's ``environment.nproc``, read from the info line of its runs, is
+printed after the summary, with a warning on stderr when the two sides
+differ or either is 1: ``interlace suite`` runs its two halves at once only
+on two CPUs or more, so such a pair does not compare like with like.
+
 ``--out`` writes the raw runs and the summary under ``workloads.W`` of a
 JSON file, keeping the other workloads already in that file.
 """
@@ -109,6 +114,19 @@ def sampling_warning(op_raw_s):
             "host-speed sampling period; its corrected times rest on few samples")
 
 
+def nproc_report(nprocs):
+    """(line, warning or None) for ``nprocs``: {side: set of environment.nproc its runs gave}."""
+    line = "nproc: " + ", ".join(
+        f"{side} {'/'.join(map(str, sorted(values))) or 'unknown'}" for side, values in nprocs.items())
+    problems = []
+    if nprocs["parent"] != nprocs["change"]:
+        problems.append("the two sides differ")
+    if any(1 in values for values in nprocs.values()):
+        problems.append("a side had one CPU, where the suite runs in one process")
+    warning = f"warning: {' and '.join(problems)} ({line})" if problems else None
+    return line, warning
+
+
 def run_once(checkout, workload, seed, seconds):
     """(metric values, environment) of one benchmark process, or (None, None) if it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -147,18 +165,25 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     runs, environment = [], None
+    nprocs = {"parent": set(), "change": set()}
     for seed in args.seeds:
         sides = ("parent", "change") if seed % 2 else ("change", "parent")
         run = {"seed": seed, "first": sides[0]}
         for side in sides:
             run[side], env = run_once(getattr(args, side), args.workload, seed, args.seconds)
             environment = environment or env
+            if env is not None:
+                nprocs[side].add(env["nproc"])
         runs.append(run)
         print(f"  seed {seed} done", file=sys.stderr)
 
     summary = summarize(runs, better, bounds)
     failed = sum(r[side] is None for r in runs for side in ("parent", "change"))
     print(format_summary(args.workload, summary, failed))
+    line, warning = nproc_report(nprocs)
+    print(line)
+    if warning:
+        print(warning, file=sys.stderr)
     if args.out:
         data = json.loads(args.out.read_text()) if args.out.is_file() else {}
         data.setdefault("command", "python3 perfbench/run.py --workload <w> --seed <s> --seconds <t>")

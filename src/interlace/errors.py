@@ -1,8 +1,24 @@
 """Exception taxonomy shared by all interlace modules."""
 
+import functools
+
 
 class InterlaceError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    It pickles as a call of its class on the constructor's own arguments, so
+    a subclass that formats them into its message, or that takes more than
+    one, comes back from another process with the same text and attributes.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args)
+        self._arguments = args, kwargs
+        return self
+
+    def __reduce__(self):
+        args, kwargs = self._arguments
+        return functools.partial(type(self), **kwargs), args, self.__dict__
 
 
 # -- series ------------------------------------------------------------

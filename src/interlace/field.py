@@ -20,6 +20,7 @@ from . import series as _series
 from .curve import FormalCurve
 from .errors import (
     ConstantCurveError,
+    EvaluationSingularityError,
     NonAdaptedChartError,
     NonUnitDivisorError,
     OrderExceededError,
@@ -161,6 +162,26 @@ def difference_system(r: ReducedSystem) -> DifferenceSystem:
     """
     gaps = [_delta(f)[0] or _expr.Num(Fraction(0)) for f in (r.f1, r.f2)]
     return DifferenceSystem(r.f1, r.f2, *gaps, provenance=r.provenance)
+
+
+def neighbour_singularity(r: ReducedSystem, point):
+    """The error of ``r`` at the neighbour y + z of a failed ``point`` of its difference system.
+
+    None unless f is defined at y and singular at y + z: a gap divides by
+    its divisors' values at the neighbour, and this names the sub-expression
+    of f, as the user wrote it, that fails there, in place of the gap's
+    generated tree.
+    """
+    x, y1, y2, z1, z2 = (point[name] for name in DIFFERENCE_VARS)
+    try:
+        r.rhs(x, (y1, y2))
+    except EvaluationSingularityError:
+        return None
+    try:
+        r.rhs(x, (y1 + z1, y2 + z2))
+    except EvaluationSingularityError as exc:
+        return exc
+    return None
 
 
 _GAPS = {"y1": _expr.Var("z1"), "y2": _expr.Var("z2")}

@@ -49,7 +49,13 @@ from .errors import (
     StiffnessError,
 )
 from . import expr as _expr
-from .field import DifferenceSystem, ReducedSystem, difference_system, inlines_rhs
+from .field import (
+    DifferenceSystem,
+    ReducedSystem,
+    difference_system,
+    inlines_rhs,
+    neighbour_singularity,
+)
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -214,7 +220,15 @@ def solve_pair(ivp: IVP, eps0) -> tuple:
             f"initial gap eps0 has {len(eps0)} components, system has {ivp.system.dimension}"
         )
     _check_finite("initial gap eps0", eps0)
-    traj = solve(replace(ivp, system=difference_system(ivp.system), y0=(*ivp.y0, *eps0)))
+    try:
+        traj = solve(replace(ivp, system=difference_system(ivp.system), y0=(*ivp.y0, *eps0)))
+    except AdaptedChartError as err:
+        point = getattr(err.__cause__, "point", None)
+        singular = point and neighbour_singularity(ivp.system, point)
+        if not singular:
+            raise
+        raise AdaptedChartError(f"the neighbour y + z is singular: {singular}",
+                                last_x=err.last_x) from singular
     return traj.slice([0, 1]), traj.slice([2, 3])
 
 

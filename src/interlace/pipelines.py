@@ -8,6 +8,8 @@ field depends on wall-clock or environment; the only per-run value is the
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
@@ -328,20 +330,42 @@ def run_entry(entry: RegistryEntry, outdir=None):
     return payload
 
 
+# kinds of the suite's exact half, which runs in a forked child; the parent
+# keeps the pair and integrate entries, whose DOPRI5 kernels stay compiled in
+# its code cache from one suite to the next, where a child's would be lost
+CHILD_KINDS = frozenset({"invariance", "tangents", "qshort", "relations"})
+
+
 def run_suite(outdir):
-    """Run every registry entry into its own subdirectory; returns the summary."""
+    """Run every registry entry into its own subdirectory; returns the summary.
+
+    Two halves run at once: the exact entries (``CHILD_KINDS``) in one
+    forked child, the numeric ones in this process, each half in sorted
+    order up to its first exception.  Then the exception of the first
+    failing entry in sorted order is raised, as a run of all entries one
+    after another would raise it; else summary.json is written.  The suite
+    runs in this process alone when it may use fewer than two CPUs, has no
+    ``os.fork``, or runs another thread.  A tracer or profiler in this
+    process sees only the numeric half of a forked run.
+    """
     outdir = Path(outdir)
-    results = []
-    for name in sorted(ENTRIES):
-        payload = run_entry(ENTRIES[name], outdir)
-        results.append(
-            {
-                "name": name,
-                "kind": ENTRIES[name].kind,
-                "facts_ok": payload["facts_ok"],
-                "n_facts": len(ENTRIES[name].expected),
-            }
-        )
+    names = sorted(ENTRIES)
+    if _may_fork():
+        child = [name for name in names if ENTRIES[name].kind in CHILD_KINDS]
+        facts_ok, failure = _run_halves(child, [n for n in names if n not in child], outdir)
+    else:
+        facts_ok, failure = _run_entries(names, outdir)
+    if failure is not None:
+        raise failure[1]
+    results = [
+        {
+            "name": name,
+            "kind": ENTRIES[name].kind,
+            "facts_ok": facts_ok[name],
+            "n_facts": len(ENTRIES[name].expected),
+        }
+        for name in names
+    ]
     summary = {
         "command": "suite",
         "entries": results,
@@ -349,6 +373,64 @@ def run_suite(outdir):
     }
     _report.write_json(outdir / "summary.json", summary)
     return summary
+
+
+def _may_fork():
+    """True when the suite may run its halves in two processes."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    # a fork copies only the calling thread, whatever locks the others hold
+    return cpus >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _run_entries(names, outdir):
+    """({name: facts_ok} of the entries before the first to raise, (name, exception) of it or None)."""
+    facts_ok = {}
+    for name in names:
+        try:
+            facts_ok[name] = run_entry(ENTRIES[name], outdir)["facts_ok"]
+        except Exception as exc:
+            return facts_ok, (name, exc)
+    return facts_ok, None
+
+
+def _run_halves(child_names, own_names, outdir):
+    """``_run_entries`` of ``child_names`` in a forked child and of ``own_names`` here, merged.
+
+    The child sends its pickled result through a pipe and always ends in
+    ``os._exit``: it never returns into its caller's frames, never flushes
+    the buffers it shares with this process and never runs ``atexit``.  The
+    child is read and reaped even when this half raises.
+    """
+    import pickle  # only a forked suite needs it; every other run is spared its import
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_entries(child_names, outdir)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        facts_ok, failure = _run_entries(own_names, outdir)
+    finally:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        child_facts, child_failure = pickle.loads(data)
+    except Exception:  # nothing, or less than a whole result
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise ChildProcessError(f"the suite's exact half {how} before it sent its result") from None
+    failures = [f for f in (failure, child_failure) if f is not None]
+    return {**facts_ok, **child_facts}, min(failures, key=lambda f: f[0], default=None)
 
 
 def _close(actual, expected, rel_tol):

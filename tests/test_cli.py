@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,6 +15,7 @@ import pytest
 from interlace import pipelines
 from interlace.cli import build_parser, config_from_args, main
 from interlace.config import RunConfig, parse_config_text
+from interlace.errors import ExprSyntaxError, SolverError
 from interlace.expr import MAX_DEPTH
 from interlace.registry import ENTRIES
 from interlace.report import load_json, strip_timestamps
@@ -658,6 +660,118 @@ def test_suite_subset_determinism(tmp_path):
         ja = strip_timestamps(json.loads(rep.read_text()))
         jb = strip_timestamps(json.loads(other.read_text()))
         assert ja == jb
+
+
+def _cpus(monkeypatch, n):
+    """Let the suite see ``n`` usable CPUs; returns the list that records each fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _tree(root):
+    """{relative path: contents} of a suite output tree, JSON with its stamps masked."""
+    return {
+        p.relative_to(root).as_posix():
+            strip_timestamps(json.loads(p.read_text())) if p.suffix == ".json" else p.read_bytes()
+        for p in root.rglob("*") if p.is_file()
+    }
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_and_one_process_suites_write_the_same_tree_and_stdout(tmp_path, capsys, monkeypatch):
+    runs = {}
+    for cpus in (2, 1):
+        forks = _cpus(monkeypatch, cpus)
+        assert run(["suite", "--outdir", str(tmp_path / str(cpus))]) == 0
+        assert len(forks) == (cpus > 1)
+        runs[cpus] = capsys.readouterr(), _tree(tmp_path / str(cpus))
+        _no_child_left()
+    assert runs[2] == runs[1]
+    assert len(runs[2][1]) > len(ENTRIES) and runs[2][0].err == ""
+
+
+def _failing(kind):
+    """A runner that fails with an error whose text its constructor formats."""
+    def runner(config, entry, outdir=None):
+        if kind == "tangents":
+            raise ExprSyntaxError(f"{kind} runner failed on {entry.name}", 3)
+        raise SolverError(f"{kind} runner failed on {entry.name}", last_x=0.25)
+    return runner
+
+
+@pytest.mark.parametrize("kinds, first", [
+    (("tangents", "pair"), "cusp_tangents"),  # the child's failure comes first
+    (("pair", "relations"), "euler_pair"),  # this process's failure comes first
+])
+def test_the_first_failing_entry_in_sorted_order_raises(tmp_path, monkeypatch, kinds, first):
+    for kind in kinds:
+        monkeypatch.setitem(pipelines.RUNNERS, kind, _failing(kind))
+    raised = {}
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        with pytest.raises(Exception) as err:
+            pipelines.run_suite(tmp_path / str(cpus))
+        assert len(forks) == (cpus > 1)
+        raised[cpus] = type(err.value), str(err.value), vars(err.value)
+        _no_child_left()
+    assert raised[2] == raised[1]
+    assert first in raised[1][1]
+
+
+def test_a_killed_child_is_one_line_and_no_traceback(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def killed(config, entry, outdir=None):
+        if os.getpid() != parent:  # only ever the child
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("the suite did not fork")
+
+    monkeypatch.setitem(pipelines.RUNNERS, "qshort", killed)
+    forks = _cpus(monkeypatch, 2)
+    assert run(["suite", "--outdir", str(tmp_path)]) in (2, 3)
+    assert forks == [parent]
+    assert capsys.readouterr().err == (
+        "error: the suite's exact half was killed by signal 9 before it sent its result\n")
+    _no_child_left()
+
+
+_UNFLUSHED = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}  # fork whatever this host's CPU count
+from interlace import cli
+print("unflushed text", end=" ")  # a pipe buffers it until exit
+sys.exit(cli.main(["suite", "--outdir", sys.argv[1]]))
+"""
+
+
+def test_text_buffered_before_a_forked_suite_is_written_once(tmp_path):
+    import interlace
+
+    src = Path(interlace.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # let the pipe buffer
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", _UNFLUSHED, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("unflushed text") == 1
+    assert proc.stdout.startswith("unflushed text cusp_tangents ")
+
+
+def test_gap_singular_at_the_neighbour_names_the_users_tree(capsys):
+    # f1(y) = 1 at y1 = 1, but the neighbour starts at y1 + z1 = 0
+    argv = ["classify-pair", "--f1", "y1^-20", "--f2", "y2", "--x-start", "0.5",
+            "--x-end", "0.2", "--y0", "1,1", "--eps0=-1,0"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the neighbour y + z is singular: division by zero in 'y1^-20' "
+        "at {'x': 0.5, 'y1': 0.0, 'y2': 1.0} (last x = 0.5)\n")
 
 
 _WITHOUT_NUMPY = """

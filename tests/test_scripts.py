@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion and print their key lines."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -241,3 +242,35 @@ def test_bench_pairs_warns_from_the_info_line_of_a_run(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"  {tmp_path} seed 7: warning: only 3 of 33 ops last the 25 ms host-speed "
         "sampling period; its corrected times rest on few samples\n")
+
+
+def _stub_checkout(root, nproc):
+    """A checkout whose perfbench/run.py prints one fixed run reporting ``nproc``."""
+    (root / "perfbench").mkdir(parents=True)
+    info = {"op_raw_s": [0.03] * 10, "environment": {"nproc": nproc}}
+    result = {"correct": True, "attempted": 10, "metrics": {"ops_per_s": {"value": 10.0}}}
+    (root / "perfbench" / "run.py").write_text(
+        f"import json\nprint(json.dumps({info!r}))\nprint(json.dumps({result!r}))\n")
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+@pytest.mark.parametrize("parent_nproc, change_nproc, warning", [
+    (2, 2, None),
+    (2, 4, "the two sides differ"),
+    (1, 1, "a side had one CPU, where the suite runs in one process"),
+    (2, 1, "the two sides differ and a side had one CPU, where the suite runs in one process"),
+])
+def test_bench_pairs_prints_and_checks_each_sides_nproc(
+        tmp_path, capsys, parent_nproc, change_nproc, warning):
+    bench = _load_script("bench_pairs")
+    parent = _stub_checkout(tmp_path / "parent", parent_nproc)
+    change = _stub_checkout(tmp_path / "change", change_nproc)
+    assert bench.main([str(parent), str(change), "--workload", "suite", "--seeds", "1-2",
+                       "--seconds", "1"]) == 0
+    out, err = capsys.readouterr()
+    line = f"nproc: parent {parent_nproc}, change {change_nproc}"
+    assert out.splitlines()[-1] == line
+    warnings = [e for e in err.splitlines() if e.startswith("warning:")]
+    assert warnings == ([] if warning is None else [f"warning: {warning} ({line})"])
