@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath
 
 from . import expr as _expr
 from . import series as _series
 from .errors import DegenerateCurveError, DomainError, OrderExceededError
-from .series import EXACT, INF, TruncatedSeries
+from .series import EXACT, INF, TruncatedSeries, float_mode
 
 
 @dataclass(frozen=True)
@@ -64,22 +61,16 @@ class FormalCurve:
     def reparameterized(self, lam):
         """t -> lam * t for any nonzero lam; lam = -1 gives the other half-branch.
 
-        Coefficients are scaled under the mode's precision context, so a
-        big-float curve keeps its precision.
+        Big-float coefficients round at their own precision, so a big-float
+        curve keeps it.
         """
         if lam == 0:
             raise ValueError("reparameterization factor must be nonzero")
         out = []
         for s in self.components:
-            with s.mode.context():
-                scale = s.mode.coerce(lam)
-                out.append(
-                    TruncatedSeries(
-                        tuple(c * scale**i for i, c in enumerate(s.coeffs)),
-                        s.mode,
-                        s.var,
-                    )
-                )
+            scale = s.mode.coerce(lam)
+            out.append(TruncatedSeries(tuple(c * scale**i for i, c in enumerate(s.coeffs)),
+                                       s.mode, s.var))
         return FormalCurve(tuple(out))
 
     def to_puiseux(self):
@@ -117,8 +108,12 @@ class TangentStep:
     transformed_curve: FormalCurve
 
     def unit_direction(self):
-        norm = math.sqrt(sum(float(a) ** 2 for a in self.direction))
-        return tuple(float(a) / norm for a in self.direction)
+        d = self.direction
+        big = max(map(abs, d))  # a direction has a nonzero component
+        if not 2.0**-500 < big < 2.0**500:  # keep the squares normal floats
+            d = [a / big for a in d]
+        norm = math.sqrt(sum(float(a) ** 2 for a in d))
+        return tuple(float(a) / norm for a in d)
 
 
 def leading_direction(c: FormalCurve):
@@ -204,33 +199,32 @@ class AsymptoticReport:
 def asymptotic_deviation(traj, curve: PuiseuxCurve, jet_order: int, probes) -> AsymptoticReport:
     """deviation(x) = || traj(x) - J_N theta(x^{1/nu}) || at each probe.
 
-    The jet is evaluated in big-float arithmetic so the subtraction against
-    the float trajectory values loses nothing beyond their own storage
-    precision.  Probes must lie inside the trajectory domain, ordered large
-    to small.
+    The jet is evaluated in 240-bit big-float arithmetic so the subtraction
+    against the float trajectory values loses nothing beyond their own
+    storage precision.  Probes must lie inside the trajectory domain, ordered
+    large to small.
     """
+    mode = float_mode(240)
     jets = []
     for th in curve.theta:
         if th.order < jet_order:
             raise OrderExceededError(
                 f"jet order {jet_order} exceeds curve component order {th.order}"
             )
-        jets.append(th.truncated(jet_order))
+        jets.append(TruncatedSeries.from_coeffs(th.coeffs[: jet_order + 1], mode=mode))
     lo, hi = traj.domain()
     rows = []
-    with mpmath.workprec(240):
-        for x in probes:
-            if not (lo <= x <= hi) or x <= 0:
-                raise DomainError(f"probe {x} outside trajectory domain [{lo}, {hi}]")
-            t = mpmath.mpf(x) ** (mpmath.mpf(1) / curve.nu)
-            vals = traj(x)
-            dev_sq = mpmath.mpf(0)
-            for k, jet in enumerate(jets):
-                jet_val = _eval_bigfloat(jet, t)
-                dev_sq += (mpmath.mpf(float(vals[k])) - jet_val) ** 2
-            dev = float(mpmath.sqrt(dev_sq))
-            order = float(math.log(dev) / math.log(x)) if dev > 0 else math.inf
-            rows.append(DeviationProbe(float(x), dev, order))
+    for x in probes:
+        if not (lo <= x <= hi) or x <= 0:
+            raise DomainError(f"probe {x} outside trajectory domain [{lo}, {hi}]")
+        t = mode.coerce(x) ** (mode.one() / curve.nu)
+        vals = traj(x)
+        dev_sq = mode.zero()
+        for k, jet in enumerate(jets):
+            dev_sq += (mode.coerce(float(vals[k])) - jet.eval(t)) ** 2
+        dev = float(mode.ctx.sqrt(dev_sq))
+        order = float(math.log(dev) / math.log(x)) if dev > 0 else math.inf
+        rows.append(DeviationProbe(float(x), dev, order))
     slopes = []
     for a, b in zip(rows, rows[1:]):
         if a.deviation > 0 and b.deviation > 0 and a.x != b.x:
@@ -240,15 +234,6 @@ def asymptotic_deviation(traj, curve: PuiseuxCurve, jet_order: int, probes) -> A
         else:
             slopes.append(math.inf)
     return AsymptoticReport(jet_order, tuple(rows), tuple(slopes))
-
-
-def _eval_bigfloat(s: TruncatedSeries, t):
-    acc = mpmath.mpf(0)
-    for c in reversed(s.coeffs):
-        if isinstance(c, Fraction):
-            c = mpmath.mpf(c.numerator) / c.denominator
-        acc = acc * t + c
-    return acc
 
 
 # -- curve DSL -----------------------------------------------------------

@@ -345,12 +345,8 @@ def fold_constant(node):
 
 def evaluate_mp(node, env, prec=160):
     """Big-float evaluation (mpmath at ``prec`` bits); ``env`` values are taken exactly."""
-    import mpmath
-
-    names = tuple(env)
-    with mpmath.workprec(prec):
-        f = compile_expr(node, names, lambda q: mpmath.mpf(q.numerator) / q.denominator)
-        return f(*(mpmath.mpf(env[n]) for n in names))
+    coerce = _series.float_mode(prec).coerce
+    return compile_expr(node, tuple(env), coerce)(*map(coerce, env.values()))
 
 
 def compile_expr(node, names, const=float, calls=None, label="_compiled"):

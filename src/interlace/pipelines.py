@@ -14,8 +14,6 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import dichotomy as _dichotomy
 from . import report as _report
 from . import sat as _sat
@@ -541,7 +539,7 @@ def _multiplier_matches(fact, payload):
                 return False
         else:
             tol = fact.rel_tol if fact.rel_tol is not None else 1e-25
-            if abs(float(mpmath.mpf(text)) - float(want)) > tol * max(
+            if abs(float(text) - float(want)) > tol * max(
                 1.0, abs(float(want))
             ):
                 return False

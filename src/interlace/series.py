@@ -1,9 +1,11 @@
 """Exact truncated formal power series in one variable.
 
 A series is a coefficient list a_0..a_N understood mod x^{N+1}.  Coefficients
-are exact rationals by default; a big-float mode (mpmath, configurable
-precision) exists for curves whose coefficients are irrational.  The module
-also provides the degree-k truncation J_k, the tail operator
+are exact rationals by default; a big-float mode exists for curves whose
+coefficients are irrational.  Its values carry their precision (see
+``CoefficientMode``), so nothing switches a working precision, and mpmath is
+imported only when a float mode makes its first value.  The module also
+provides the degree-k truncation J_k, the tail operator
 
     T_k h = (h - J_k h) / x^k        (so T_k h has zero constant term),
 
@@ -23,13 +25,12 @@ product and Horner composition through the same loops with unit denominators.
 
 from __future__ import annotations
 
-import contextlib
+import copyreg
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import (
     CompositionAtUnitError,
@@ -46,7 +47,11 @@ INF = math.inf  # valuation of the zero series
 
 @dataclass(frozen=True)
 class CoefficientMode:
-    """Coefficient domain: exact rationals or binary big-floats."""
+    """Coefficient domain: exact rationals or binary big-floats.
+
+    A float-mode value belongs to ``ctx``, the mode's private mpmath context,
+    and rounds at the mode's precision wherever it is used.
+    """
 
     kind: str  # "rational" | "float"
     precision: int | None = None  # bits, float mode only
@@ -68,16 +73,14 @@ class CoefficientMode:
             if isinstance(value, (int, str, float)):
                 return Fraction(value)
             raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
-        with self.context():
-            if isinstance(value, Fraction):
-                return mpmath.mpf(value.numerator) / value.denominator
-            return mpmath.mpf(value)
+        if isinstance(value, Fraction):
+            return self.ctx.mpf(value.numerator) / value.denominator
+        return self.ctx.mpf(value)
 
-    def context(self):
-        """Arithmetic context: a workprec guard in float mode, no-op otherwise."""
-        if self.exact:
-            return contextlib.nullcontext()
-        return mpmath.workprec(self.precision)
+    @property
+    def ctx(self):
+        """The mpmath context of a float mode's values."""
+        return _float_context(self.precision)
 
     def zero(self):
         return self.coerce(0)
@@ -88,17 +91,30 @@ class CoefficientMode:
     def to_str(self, value):
         if self.exact:
             return f"{value.numerator}/{value.denominator}"
-        with self.context():
-            return mpmath.nstr(value, int(self.precision * 0.302) + 4)
+        return self.ctx.nstr(value, int(self.precision * 0.302) + 4)
 
     def from_str(self, text):
         if self.exact:
             return Fraction(text)
-        with self.context():
-            return mpmath.mpf(text)
+        return self.ctx.mpf(text)
 
 
 EXACT = CoefficientMode("rational")
+
+
+@functools.cache
+def _float_context(precision):
+    """The mpmath context whose values round at ``precision`` bits; they pickle into it."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = precision
+    copyreg.pickle(ctx.mpf, lambda v: (_float_value, (precision, v._mpf_)))
+    return ctx
+
+
+def _float_value(precision, mpf_tuple):
+    return _float_context(precision).make_mpf(mpf_tuple)
 
 
 def float_mode(precision: int = 128) -> CoefficientMode:
@@ -178,8 +194,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1], self.mode, self.var)
 
     def map_coeffs(self, fn):
-        with self.mode.context():
-            return TruncatedSeries(tuple(fn(c) for c in self.coeffs), self.mode, self.var)
+        return TruncatedSeries(tuple(fn(c) for c in self.coeffs), self.mode, self.var)
 
     def _check_mode(self, other):
         if self.mode != other.mode:
@@ -192,8 +207,7 @@ class TruncatedSeries:
     def _termwise(self, op, other):
         other = self._promote(other)
         self._check_mode(other)
-        with self.mode.context():  # map stops at the end of the lower-order operand
-            cs = tuple(map(op, self.coeffs, other.coeffs))
+        cs = tuple(map(op, self.coeffs, other.coeffs))  # map stops at the lower-order end
         return TruncatedSeries(cs, self.mode, self.var)
 
     def __add__(self, other):
@@ -215,8 +229,7 @@ class TruncatedSeries:
             a, da = _over_common(self.coeffs[: n + 1])
             b, db = _over_common(other.coeffs[: n + 1])
             return TruncatedSeries(_fractions(_convolve(a, b, n), da * db), self.mode, self.var)
-        with self.mode.context():
-            out = _convolve(self.coeffs, other.coeffs, n, self.mode.zero())
+        out = _convolve(self.coeffs, other.coeffs, n, self.mode.zero())
         return TruncatedSeries(tuple(out), self.mode, self.var)
 
     __rmul__ = __mul__
@@ -253,10 +266,9 @@ class TruncatedSeries:
 
     def eval(self, x):
         """Horner evaluation of the truncated polynomial at a number."""
-        with self.mode.context():
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
         return acc
 
     def to_json_dict(self):
@@ -402,8 +414,7 @@ def derive(s: TruncatedSeries) -> TruncatedSeries:
     """Termwise derivative; drops one order."""
     if s.order < 1:
         raise OrderUnderflowError("cannot differentiate an order-0 series")
-    with s.mode.context():
-        cs = tuple((i + 1) * s.coeffs[i + 1] for i in range(s.order))
+    cs = tuple((i + 1) * s.coeffs[i + 1] for i in range(s.order))
     return TruncatedSeries(cs, s.mode, s.var)
 
 
@@ -446,11 +457,10 @@ def compose(s: TruncatedSeries, p) -> TruncatedSeries:
         a, da = [coerce(c) for c in s.coeffs[: n + 1]], 1
         b, dp, zero = p.coeffs, 1, s.mode.zero()
     acc, scale = [a[n]], 1  # the partial sum is acc / (da * scale)
-    with s.mode.context():
-        for i in range(n - 1, -1, -1):
-            scale *= dp
-            acc = _convolve(acc, b, n - i, zero)
-            acc[0] = a[i] * scale
+    for i in range(n - 1, -1, -1):
+        scale *= dp
+        acc = _convolve(acc, b, n - i, zero)
+        acc[0] = a[i] * scale
     coeffs = _fractions(acc, da * scale) if s.mode.exact else tuple(acc)
     return TruncatedSeries(coeffs, s.mode, s.var)
 
@@ -480,13 +490,12 @@ def divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
             power *= u0
             out.append(Fraction(acc * du, power * da))
         return TruncatedSeries(tuple(out), a.mode, a.var)
-    with a.mode.context():
-        out = []
-        for k in range(n + 1):
-            acc = a.coeffs[k]
-            for j in range(k):
-                acc -= out[j] * u.coeffs[k - j]
-            out.append(acc / u.coeffs[0])
+    out = []
+    for k in range(n + 1):
+        acc = a.coeffs[k]
+        for j in range(k):
+            acc -= out[j] * u.coeffs[k - j]
+        out.append(acc / u.coeffs[0])
     return TruncatedSeries(tuple(out), a.mode, a.var)
 
 
@@ -527,8 +536,10 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
             raise NonzeroConstantTermError(
                 "exp of a series with nonzero constant term is not rational"
             )
-        with s.mode.context():
-            factor = mpmath.e ** c0
+        try:
+            factor = s.mode.ctx.e ** c0
+        except OverflowError:  # mpmath cannot hold the exponent of e^c0
+            raise ValueError("exp of a constant term beyond the big-float range") from None
         tail = s - TruncatedSeries.constant(c0, s.order, s.mode, s.var)
         return exp_series(tail).scale(factor)
     # f = exp(s) solves f' = s' f:  n f_n = sum_{k=1..n} k s_k f_{n-k}
@@ -549,15 +560,14 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
             den *= d
             out.append(Fraction(G[n], den))
         return TruncatedSeries(tuple(out), s.mode, s.var)
-    with s.mode.context():
-        out = [s.mode.one()] + [s.mode.zero()] * s.order
-        for n in range(1, s.order + 1):
-            acc = s.mode.zero()
-            for k in range(1, n + 1):
-                sk = s.coeffs[k]
-                if not _is_zero(sk):
-                    acc += k * sk * out[n - k]
-            out[n] = acc / n
+    out = [s.mode.one()] + [s.mode.zero()] * s.order
+    for n in range(1, s.order + 1):
+        acc = s.mode.zero()
+        for k in range(1, n + 1):
+            sk = s.coeffs[k]
+            if not _is_zero(sk):
+                acc += k * sk * out[n - k]
+        out[n] = acc / n
     return TruncatedSeries(tuple(out), s.mode, s.var)
 
 

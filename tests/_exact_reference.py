@@ -9,19 +9,28 @@ differential tests compare the fast paths against them.
 ``mul`` (the body of ``TruncatedSeries.__mul__`` for two series),
 ``divide``, ``shift_divide`` and ``exp_series`` are verbatim copies of the
 one-``Fraction``-per-term loops that the integer kernels of
-``interlace.series`` replaced; they serve both modes.  ``compose`` multiplies
+``interlace.series`` replaced; they serve both modes.  Their float branches
+no longer switch mpmath's working precision, since float-mode values round at
+their own.  ``compose`` multiplies
 through ``mul``, so no reference runs an integer kernel.  ``poly_mul`` is
 the ``Fraction`` loop that ``Poly.__mul__`` ran before it shared those
 kernels, and ``add`` and ``sub`` are the bodies of ``TruncatedSeries.__add__``
 and ``__sub__`` before they shared one termwise helper.
+
+``asymptotic_deviation`` and ``_eval_bigfloat`` are verbatim copies of the
+probe that ran under a global 240-bit mpmath working precision, before the
+jets became series of a 240-bit float mode.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 
+from interlace.curve import AsymptoticReport, DeviationProbe, PuiseuxCurve
 from interlace.errors import (
     CompositionAtUnitError,
+    DomainError,
     NonUnitDivisorError,
     NonzeroConstantTermError,
     OrderExceededError,
@@ -34,18 +43,17 @@ def mul(self, other):
     """self * other mod x^{N+1} for two series, one product per pair of terms."""
     self._check_mode(other)
     n = min(self.order, other.order)
-    with self.mode.context():
-        out = [self.mode.zero()] * (n + 1)
-        nonzero = [
-            (j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not _is_zero(b)
-        ]
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if _is_zero(a):
-                continue
-            for j, b in nonzero:
-                if i + j > n:
-                    break
-                out[i + j] += a * b
+    out = [self.mode.zero()] * (n + 1)
+    nonzero = [
+        (j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not _is_zero(b)
+    ]
+    for i, a in enumerate(self.coeffs[: n + 1]):
+        if _is_zero(a):
+            continue
+        for j, b in nonzero:
+            if i + j > n:
+                break
+            out[i + j] += a * b
     return TruncatedSeries(tuple(out), self.mode, self.var)
 
 
@@ -53,8 +61,7 @@ def add(self, other):
     other = self._promote(other)
     self._check_mode(other)
     n = min(self.order, other.order)
-    with self.mode.context():
-        cs = tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
+    cs = tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
     return TruncatedSeries(cs, self.mode, self.var)
 
 
@@ -62,8 +69,7 @@ def sub(self, other):
     other = self._promote(other)
     self._check_mode(other)
     n = min(self.order, other.order)
-    with self.mode.context():
-        cs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
+    cs = tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
     return TruncatedSeries(cs, self.mode, self.var)
 
 
@@ -99,13 +105,12 @@ def divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     if u.is_zero() or u.val() != 0:
         raise NonUnitDivisorError("divisor must have a nonzero constant term")
     n = min(a.order, u.order)
-    with a.mode.context():
-        out = []
-        for k in range(n + 1):
-            acc = a.coeffs[k]
-            for j in range(k):
-                acc -= out[j] * u.coeffs[k - j]
-            out.append(acc / u.coeffs[0])
+    out = []
+    for k in range(n + 1):
+        acc = a.coeffs[k]
+        for j in range(k):
+            acc -= out[j] * u.coeffs[k - j]
+        out.append(acc / u.coeffs[0])
     return TruncatedSeries(tuple(out), a.mode, a.var)
 
 
@@ -140,20 +145,18 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
             raise NonzeroConstantTermError(
                 "exp of a series with nonzero constant term is not rational"
             )
-        with s.mode.context():
-            factor = mpmath.e ** c0
+        factor = s.mode.ctx.e ** c0
         tail = s - TruncatedSeries.constant(c0, s.order, s.mode, s.var)
         return exp_series(tail).scale(factor)
     # f = exp(s) solves f' = s' f:  n f_n = sum_{k=1..n} k s_k f_{n-k}
-    with s.mode.context():
-        out = [s.mode.one()] + [s.mode.zero()] * s.order
-        for n in range(1, s.order + 1):
-            acc = s.mode.zero()
-            for k in range(1, n + 1):
-                sk = s.coeffs[k]
-                if not _is_zero(sk):
-                    acc += k * sk * out[n - k]
-            out[n] = acc / n
+    out = [s.mode.one()] + [s.mode.zero()] * s.order
+    for n in range(1, s.order + 1):
+        acc = s.mode.zero()
+        for k in range(1, n + 1):
+            sk = s.coeffs[k]
+            if not _is_zero(sk):
+                acc += k * sk * out[n - k]
+        out[n] = acc / n
     return TruncatedSeries(tuple(out), s.mode, s.var)
 
 
@@ -201,3 +204,53 @@ def _mul_mod_p(a, b):
                     break
                 out[i + j] += u * v
     return [c % _P for c in out]
+
+
+def asymptotic_deviation(traj, curve: PuiseuxCurve, jet_order: int, probes) -> AsymptoticReport:
+    """deviation(x) = || traj(x) - J_N theta(x^{1/nu}) || at each probe.
+
+    The jet is evaluated in big-float arithmetic so the subtraction against
+    the float trajectory values loses nothing beyond their own storage
+    precision.  Probes must lie inside the trajectory domain, ordered large
+    to small.
+    """
+    jets = []
+    for th in curve.theta:
+        if th.order < jet_order:
+            raise OrderExceededError(
+                f"jet order {jet_order} exceeds curve component order {th.order}"
+            )
+        jets.append(th.truncated(jet_order))
+    lo, hi = traj.domain()
+    rows = []
+    with mpmath.workprec(240):
+        for x in probes:
+            if not (lo <= x <= hi) or x <= 0:
+                raise DomainError(f"probe {x} outside trajectory domain [{lo}, {hi}]")
+            t = mpmath.mpf(x) ** (mpmath.mpf(1) / curve.nu)
+            vals = traj(x)
+            dev_sq = mpmath.mpf(0)
+            for k, jet in enumerate(jets):
+                jet_val = _eval_bigfloat(jet, t)
+                dev_sq += (mpmath.mpf(float(vals[k])) - jet_val) ** 2
+            dev = float(mpmath.sqrt(dev_sq))
+            order = float(math.log(dev) / math.log(x)) if dev > 0 else math.inf
+            rows.append(DeviationProbe(float(x), dev, order))
+    slopes = []
+    for a, b in zip(rows, rows[1:]):
+        if a.deviation > 0 and b.deviation > 0 and a.x != b.x:
+            slopes.append(
+                math.log(b.deviation / a.deviation) / math.log(b.x / a.x)
+            )
+        else:
+            slopes.append(math.inf)
+    return AsymptoticReport(jet_order, tuple(rows), tuple(slopes))
+
+
+def _eval_bigfloat(s: TruncatedSeries, t):
+    acc = mpmath.mpf(0)
+    for c in reversed(s.coeffs):
+        if isinstance(c, Fraction):
+            c = mpmath.mpf(c.numerator) / c.denominator
+        acc = acc * t + c
+    return acc

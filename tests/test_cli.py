@@ -794,3 +794,54 @@ def test_the_library_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": []}
     assert load_json(tmp_path / "summary.json")["all_ok"] is True
+
+
+_LOADS_MPMATH = """
+import json, sys
+from interlace import cli
+loaded = ["mpmath" in sys.modules]
+for argv in sys.argv[1:]:
+    cli.main(json.loads(argv))
+    loaded.append("mpmath" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_mpmath_is_loaded_only_by_float_mode(tmp_path):
+    # a fresh process: importing the CLI and an exact command leave mpmath
+    # unloaded, and the float-only flat tower loads it
+    import interlace
+
+    src = Path(interlace.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argvs = [["qshort", "--poly", "x"], ["invariance", "--example", "flat_tower"]]
+    proc = subprocess.run([sys.executable, "-c", _LOADS_MPMATH, *map(json.dumps, argvs)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
+
+
+@pytest.mark.parametrize("inner", ["10^20", "10^400"])
+def test_exp_of_a_constant_beyond_the_big_float_range_is_a_usage_error(inner, capsys):
+    # e^(e^c) has a binary exponent too large for mpmath's integer power
+    argv = ["invariance", "--example", "xi3", "--curve", f"t, exp(exp({inner})), t",
+            "--mode", "float", "--order", "2"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: exp of a constant term beyond the big-float range\n"
+
+
+_BIG = "1" + "0" * 400  # 10^400, beyond the float range
+
+
+@pytest.mark.parametrize("curve, mode, unit", [
+    (f"t*{_BIG}, t*{_BIG}", "exact", [1 / math.sqrt(2)] * 2),  # float() overflowed
+    (f"t/{_BIG}, t/{_BIG}", "exact", [1 / math.sqrt(2)] * 2),  # the norm underflowed to 0
+    ("t*10^200, t", "exact", [1.0, 1e-200]),  # the square overflowed
+    (f"t*{_BIG}, t", "float", [1.0, 0.0]),  # inf / inf was NaN
+], ids=["huge", "tiny", "square-overflow", "float-huge"])
+def test_unit_directions_beyond_the_float_range_are_finite(curve, mode, unit, tmp_path):
+    (tmp_path / "run.cfg").write_text(f"mode = {mode}\n")
+    argv = ["tangents", "--curve", curve, "--steps", "1", "--config", str(tmp_path / "run.cfg"),
+            "--outdir", str(tmp_path)]
+    assert run(argv) == 0
+    assert load_json(tmp_path / "report.json")["unit_directions"] == [unit]

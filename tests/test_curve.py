@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from interlace.curve import (
     FormalCurve,
@@ -23,6 +23,8 @@ from interlace.errors import (
 )
 from interlace.integrate import Trajectory
 from interlace.series import EXACT, TruncatedSeries, euler_series, float_mode
+
+import _exact_reference
 
 
 def C(*component_coeff_lists, order=8, branch=+1):
@@ -128,8 +130,7 @@ def test_negative_half_branch_keeps_big_float_precision(data, precision):
         TruncatedSeries.from_coeffs(cs, order, mode, "t") for cs in lists
     ))
     got = curve.reparameterized(-1).components
-    with mode.context():
-        want = _negated_odd_coefficients(curve.components)
+    want = _negated_odd_coefficients(curve.components)
     assert [[c._mpf_ for c in s.coeffs] for s in got] == [
         [c._mpf_ for c in s.coeffs] for s in want
     ]
@@ -299,6 +300,33 @@ def test_curve_shifted_by_parameter_reads_order_one():
         assert abs(p.empirical_order - 1.0) < 0.25
     for s in rep.slopes:
         assert abs(s - 1.0) < 0.1
+
+
+@given(
+    st.lists(st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+             min_size=2, max_size=12),
+    st.sampled_from([None, 128, 300]),
+    st.sampled_from([1, 2]),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+@example([F(1), F(-3, 7), F(10**30 - 1, 999_983)], 300, 2, [1e-17, 0.0, -1.0])
+@settings(max_examples=150, deadline=None)
+def test_deviation_matches_the_global_precision_probe_bit_for_bit(coeffs, precision, nu, noise):
+    # the 240-bit jets of a float(240) mode against the probe that switched
+    # mpmath's working precision: equal reports, float for float
+    mode = EXACT if precision is None else float_mode(precision)
+    order = len(coeffs)
+    theta = TruncatedSeries.from_coeffs([0, *coeffs], order, mode, "t")
+    xs = [0.1, 0.05, 0.02]
+    jet = [float(c) for c in theta.coeffs]
+    traj = _trajectory_from(
+        lambda x: sum(c * x ** (i / nu) for i, c in enumerate(jet)) * (1 + noise[xs.index(x)]),
+        lambda x: 1.0,
+        xs,
+    )
+    curve = PuiseuxCurve(nu, (theta,))
+    got = asymptotic_deviation(traj, curve, order - 1, xs)
+    assert repr(got) == repr(_exact_reference.asymptotic_deviation(traj, curve, order - 1, xs))
 
 
 def test_probe_outside_domain_rejected():

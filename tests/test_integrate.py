@@ -535,6 +535,20 @@ def test_a_step_with_error_ratio_exactly_one_is_accepted():
     _assert_same_trajectory(traj, _reference_solve(replace(ivp, system=scripted())))
 
 
+def test_a_negative_error_at_a_zero_scale_rejects_the_step():
+    # k1 .. k6 are zero and k7 = (-1, 0): y5 = y, and y4 - y5 = h * (-1/40) > 0
+    # in the first component, where y = 0 and atol = 0 give a zero scale; the
+    # error y5 - y4 is negative there, and only its magnitude rejects the step
+    calls = itertools.count(1)
+
+    class Scripted(ReducedSystem):
+        def rhs(self, x, y):
+            return (-1.0, 0.0) if next(calls) == 7 else (0.0, 0.0)
+
+    traj = solve(IVP(Scripted(EULER.f1, EULER.f2), 1.0, 0.5, (0.0, 1.0), rtol=1e-6, atol=0.0))
+    assert traj.meta["n_rejected"] == 1 and traj.meta["n_steps"] == 11
+
+
 @pytest.mark.parametrize("s", [1e200, 1e300])
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # the reference squares the ratios
 def test_an_error_ratio_too_large_to_square_rejects_the_step_like_numpy_reference(s):

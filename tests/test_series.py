@@ -1,9 +1,10 @@
 """Exact series algebra: frozen oracle values, error contracts, ring laws."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,12 +107,11 @@ sparse_coeffs = st.lists(st.one_of(st.just(F(0)), small_fraction), min_size=1, m
 def test_product_equals_dense_convolution_in_both_modes(a_coeffs, b_coeffs, exact):
     mode = EXACT if exact else float_mode(96)
     a, b = S(a_coeffs, 8, mode), S(b_coeffs, 6, mode)
-    with mode.context():
-        want = [mode.zero()] * 7
-        for i in range(7):
-            for j in range(7 - i):
-                if a.coeffs[i] != 0 and b.coeffs[j] != 0:
-                    want[i + j] += a.coeffs[i] * b.coeffs[j]
+    want = [mode.zero()] * 7
+    for i in range(7):
+        for j in range(7 - i):
+            if a.coeffs[i] != 0 and b.coeffs[j] != 0:
+                want[i + j] += a.coeffs[i] * b.coeffs[j]
     assert (a * b).coeffs == tuple(want)
 
 
@@ -194,10 +194,14 @@ def inner_series_coeffs(draw):
 
 
 def stored_at(coeffs, order, mode, extra_bits):
-    """A float series whose coefficients carry ``extra_bits`` beyond its mode."""
-    with mpmath.workprec(mode.precision + extra_bits):
-        cs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-    cs += [mpmath.mpf(0)] * (order + 1 - len(cs))
+    """A float series whose coefficients carry ``extra_bits`` beyond its mode.
+
+    The values belong to the mode's context, so they round at its precision
+    in every operation, as values that the mode rounded itself do.
+    """
+    wide = float_mode(mode.precision + extra_bits).coerce
+    cs = [mode.ctx.make_mpf(wide(c)._mpf_) for c in coeffs]
+    cs += [mode.zero()] * (order + 1 - len(cs))
     return TruncatedSeries(tuple(cs[: order + 1]), mode)
 
 
@@ -694,3 +698,28 @@ def test_series_json_round_trip():
     back = TruncatedSeries.from_json_dict(f.to_json_dict())
     assert back.mode == f.mode
     assert abs(float(back.coeffs[1]) - 1 / 3) < 1e-25
+
+
+# -- float-mode values carry their precision ---------------------------------------------
+
+
+@pytest.mark.parametrize("precision", [64, 200])
+def test_float_series_survive_pickle_and_deepcopy_in_their_context(precision):
+    mode = float_mode(precision)
+    s = exp_series(euler_series(12, mode) + 1)  # e^1 scales every coefficient
+    for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert again == s
+        assert [c._mpf_ for c in again.coeffs] == [c._mpf_ for c in s.coeffs]
+        assert {type(c) for c in again.coeffs} == {mode.ctx.mpf}
+
+
+def test_float_values_round_at_their_own_precision():
+    import mpmath
+
+    lo, hi = float_mode(64), float_mode(200)
+    assert lo.ctx is float_mode(64).ctx and lo.ctx is not hi.ctx
+    with mpmath.workprec(20):  # the global working precision plays no part
+        third = {m.precision: m.one() / 3 for m in (lo, hi)}
+        mixed = third[64] + third[200]  # rounds at its left operand's precision
+    assert [third[p]._mpf_[3] for p in (64, 200)] == [64, 200]  # mantissa bit counts
+    assert type(mixed) is lo.ctx.mpf and mixed._mpf_[3] <= 64
