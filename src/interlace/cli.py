@@ -136,8 +136,17 @@ def _add_flag(parser, key):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word with one leading "-" as a value unless it is an option, as in ``--f1 -y1``."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[1:2] != "-" and arg_string not in self._option_string_actions:
+            return None  # a value such as "-x", "-y1" or "-1/2", not an unknown option
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="interlace", description=__doc__.split("\n")[0])
+    ap = _Parser(prog="interlace", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
@@ -193,8 +202,11 @@ def _list_examples(args):
     return EXIT_OK
 
 
+PARSER = build_parser()  # every call shares it: parse_args leaves a parser unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.run(args)
     except SolverError as err:

@@ -112,7 +112,10 @@ class TangentStep:
         big = max(map(abs, d))  # a direction has a nonzero component
         if not 2.0**-500 < big < 2.0**500:  # keep the squares normal floats
             d = [a / big for a in d]
-        norm = math.sqrt(sum(float(a) ** 2 for a in d))
+        squares = 0.0
+        for a in d:  # left to right: the builtin sum compensates its rounding from Python 3.12 on
+            squares += float(a) ** 2
+        norm = math.sqrt(squares)
         return tuple(float(a) / norm for a in d)
 
 

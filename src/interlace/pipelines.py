@@ -8,6 +8,7 @@ field depends on wall-clock or environment; the only per-run value is the
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import asdict, replace
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dichotomy as _dichotomy
+from . import expr as _expr
 from . import report as _report
 from . import sat as _sat
 from . import series as _series
@@ -238,7 +240,8 @@ def run_tangents(config, entry=None, outdir=None):
 def _frac_str(a):
     if isinstance(a, Fraction):
         return f"{a.numerator}/{a.denominator}"
-    return repr(float(a))
+    value = float(a)
+    return repr(value) if math.isfinite(value) else str(a)  # a big float beyond the float range
 
 
 # -- q-short ------------------------------------------------------------------
@@ -328,33 +331,32 @@ def run_entry(entry: RegistryEntry, outdir=None):
     return payload
 
 
-# kinds of the suite's exact half, which runs in a forked child; the parent
-# keeps the pair and integrate entries, whose DOPRI5 kernels stay compiled in
-# its code cache from one suite to the next, where a child's would be lost
-CHILD_KINDS = frozenset({"invariance", "tangents", "qshort", "relations"})
+# the entries of a forked suite that this process runs, its child running the
+# rest: a longest-job-first split of per-entry times, this half ending last
+CALLER_ENTRIES = frozenset({"flat_tower", "log_demo", "rotating", "rotating_radial"})
 
 
 def run_suite(outdir):
     """Run every registry entry into its own subdirectory; returns the summary.
 
-    Two halves run at once: the exact entries (``CHILD_KINDS``) in one
-    forked child, the numeric ones in this process, each half in sorted
-    order up to its first exception.  Then the exception of the first
-    failing entry in sorted order is raised, as a run of all entries one
-    after another would raise it; else summary.json is written.  The suite
-    runs in this process alone when it may use fewer than two CPUs, has no
-    ``os.fork``, or runs another thread.  A tracer or profiler in this
-    process sees only the numeric half of a forked run.
+    Two halves run at once, each in sorted order: the entries in
+    ``CALLER_ENTRIES`` here, the rest in one forked child, which hands back
+    its results and the code it compiled.  Every entry runs; then the
+    exception of the first failing entry in sorted order is raised, as a run
+    of all entries one after another would raise it; else summary.json is
+    written.  The suite runs in this process alone when it may use fewer
+    than two CPUs, has no ``os.fork``, or runs another thread.  A tracer or
+    profiler here sees only this process's half of a forked run.
     """
     outdir = Path(outdir)
     names = sorted(ENTRIES)
     if _may_fork():
-        child = [name for name in names if ENTRIES[name].kind in CHILD_KINDS]
-        facts_ok, failure = _run_halves(child, [n for n in names if n not in child], outdir)
+        child = [name for name in names if name not in CALLER_ENTRIES]
+        facts_ok, failures = _run_halves(child, [n for n in names if n not in child], outdir)
     else:
-        facts_ok, failure = _run_entries(names, outdir)
-    if failure is not None:
-        raise failure[1]
+        facts_ok, failures = _run_entries(names, outdir)
+    if failures:
+        raise failures[min(failures)]
     results = [
         {
             "name": name,
@@ -384,25 +386,27 @@ def _may_fork():
 
 
 def _run_entries(names, outdir):
-    """({name: facts_ok} of the entries before the first to raise, (name, exception) of it or None)."""
-    facts_ok = {}
+    """Run every entry of ``names``; ({name: facts_ok}, {name: exception})."""
+    facts_ok, failures = {}, {}
     for name in names:
         try:
             facts_ok[name] = run_entry(ENTRIES[name], outdir)["facts_ok"]
         except Exception as exc:
-            return facts_ok, (name, exc)
-    return facts_ok, None
+            failures[name] = exc
+    return facts_ok, failures
 
 
 def _run_halves(child_names, own_names, outdir):
     """``_run_entries`` of ``child_names`` in a forked child and of ``own_names`` here, merged.
 
-    The child sends its pickled result through a pipe and always ends in
-    ``os._exit``: it never returns into its caller's frames, never flushes
-    the buffers it shares with this process and never runs ``atexit``.  The
-    child is read and reaped even when this half raises.
+    The child sends its result and the code it compiled (marshalled) in one
+    pickle through a pipe, and always ends in ``os._exit``: it never returns
+    into its caller's frames, never flushes the buffers it shares with this
+    process and never runs ``atexit``.  The child is read and reaped even
+    when this half raises.
     """
-    import pickle  # only a forked suite needs it; every other run is spared its import
+    import marshal  # only a forked suite needs these; every other run is spared their import
+    import pickle
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -410,25 +414,29 @@ def _run_halves(child_names, own_names, outdir):
         status = 1
         try:
             os.close(read_fd)
+            inherited = set(_expr.CODES)
+            facts_ok, failures = _run_entries(child_names, outdir)
+            codes = [(key, marshal.dumps(code)) for key, code in _expr.CODES.items() if key not in inherited]
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_entries(child_names, outdir)))
+                pipe.write(pickle.dumps((facts_ok, failures, codes)))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     try:
-        facts_ok, failure = _run_entries(own_names, outdir)
+        facts_ok, failures = _run_entries(own_names, outdir)
     finally:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     try:
-        child_facts, child_failure = pickle.loads(data)
+        child_facts, child_failures, codes = pickle.loads(data)
     except Exception:  # nothing, or less than a whole result
         how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-        raise ChildProcessError(f"the suite's exact half {how} before it sent its result") from None
-    failures = [f for f in (failure, child_failure) if f is not None]
-    return {**facts_ok, **child_facts}, min(failures, key=lambda f: f[0], default=None)
+        raise ChildProcessError(f"the suite's forked child {how} before it sent its result") from None
+    for key, blob in codes:  # a code this process compiled meanwhile stays
+        _expr._code(*key, marshal.loads(blob))
+    return {**facts_ok, **child_facts}, {**failures, **child_failures}
 
 
 def _close(actual, expected, rel_tol):

@@ -371,9 +371,12 @@ class Poly:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of the zero polynomial")
             raise ValueError("negative power of a polynomial")
-        result = Poly.from_coeffs([1], self.var)
-        for _ in range(n):
-            result = result * self
+        result, base = Poly.from_coeffs([1], self.var), self
+        while n:  # square and multiply: at most 2 log2(n) + 1 products
+            if n & 1:
+                result = result * base
+            n >>= 1
+            base = base * base if n else base
         return result
 
     def __str__(self):

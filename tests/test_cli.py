@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from interlace import pipelines
+from interlace import expr, pipelines
 from interlace.cli import build_parser, config_from_args, main
 from interlace.config import RunConfig, parse_config_text
 from interlace.errors import ExprSyntaxError, SolverError
@@ -102,6 +102,43 @@ def test_tangents_direction_listing(capsys):
     assert run(["tangents", "--curve", "t,t^2,t^3", "--steps", "3"]) == 0
     out = capsys.readouterr().out
     assert "(1/1, 0/1, 0/1) -> (1/1, 1/1, 0/1) -> (1/1, 0/1, 1/1)" in out
+
+
+def test_unit_directions_are_summed_left_to_right(tmp_path):
+    # the builtin sum rounds these squares differently from Python 3.12 on
+    assert run(["tangents", "--curve", "t*35/93, t*15/38, t*14/41", "--steps", "1",
+                "--outdir", str(tmp_path)]) == 0
+    assert load_json(tmp_path / "report.json")["unit_directions"] == [
+        [0.5848696204406766, 0.613453474071236, 0.5306621922047114]]
+
+
+def test_a_float_direction_beyond_the_float_range_keeps_its_value(tmp_path, capsys):
+    cfg = tmp_path / "float.cfg"
+    cfg.write_text("mode = float\n")
+    huge = "1" + "0" * 400
+    assert run(["tangents", "--config", str(cfg), "--curve", f"t*{huge}, -t*3*{huge}",
+                "--steps", "1", "--outdir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.endswith("tangents: (1.0e+400, -3.0e+400)\n")
+    assert load_json(tmp_path / "out" / "report.json")["directions"] == [["1.0e+400", "-3.0e+400"]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["invariance", "--field", "-x", "-y", "-z", "--curve", "t,t,t", "--order", "8"], 0),
+    (["invariance", "--field", "-x", "y", "z", "--curve", "t,t,t", "--order", "8"], 1),
+    (["classify-pair", "--f1", "-y1", "--f2", "-y2", "--x-start", "0.5", "--x-end", "0.1",
+      "--y0", "1,1", "--eps0", "-1,0"], 0),
+    (["qshort", "--poly", "-x"], 1),
+])
+def test_an_expression_may_start_with_a_minus(argv, code, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_a_word_with_one_minus_that_is_no_value_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["invariance", "-x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
 def test_relations_evidence_exit_zero(capsys):
@@ -312,6 +349,16 @@ def test_subcommand_flags_are_unchanged(name):
         expected = ["--config", "--example", "--outdir", *FLAGS[name]]
     flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
     assert flags - {"-h", "--help"} == set(expected)
+
+
+def test_every_main_call_shares_one_parser_that_keeps_no_state(monkeypatch, capsys):
+    from interlace import cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    assert run(["invariance", "--example", "xi1", "--order", "12"]) == 0
+    args = cli.PARSER.parse_args(["invariance", "--curve", "t,t,t"])  # the last call's values are gone
+    assert args.example is None and args.order is None and args.curve == "t,t,t"
+    assert run(["list-examples"]) == 0 and "xi1" in capsys.readouterr().out
 
 
 def test_irregular_flags_map_to_their_keys():
@@ -663,11 +710,18 @@ def test_suite_subset_determinism(tmp_path):
 
 
 def _cpus(monkeypatch, n):
-    """Let the suite see ``n`` usable CPUs; returns the list that records each fork."""
+    """Let the suite see ``n`` usable CPUs; returns the list of the pids of the children it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
     forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
     return forks
 
 
@@ -708,7 +762,8 @@ def _failing(kind):
 
 @pytest.mark.parametrize("kinds, first", [
     (("tangents", "pair"), "cusp_tangents"),  # the child's failure comes first
-    (("pair", "relations"), "euler_pair"),  # this process's failure comes first
+    (("pair", "relations"), "euler_pair"),  # the child's, though this process's rotating fails too
+    (("integrate", "relations"), "log_demo"),  # this process's failure comes first
 ])
 def test_the_first_failing_entry_in_sorted_order_raises(tmp_path, monkeypatch, kinds, first):
     for kind in kinds:
@@ -725,20 +780,77 @@ def test_the_first_failing_entry_in_sorted_order_raises(tmp_path, monkeypatch, k
     assert first in raised[1][1]
 
 
+def test_every_entry_runs_once_in_its_half(tmp_path, monkeypatch):
+    parent, log, run_entry = os.getpid(), tmp_path / "ran", pipelines.run_entry
+
+    def recorded(entry, outdir=None):
+        with open(log, "a") as f:  # one short append, whole whichever process writes it
+            f.write(f"{entry.name} {os.getpid()}\n")
+        return run_entry(entry, outdir)
+
+    monkeypatch.setattr(pipelines, "run_entry", recorded)
+    forks = _cpus(monkeypatch, 2)
+    assert pipelines.run_suite(tmp_path / "out")["all_ok"] is True
+    ran = dict(line.split() for line in log.read_text().splitlines())
+    assert len(log.read_text().splitlines()) == len(ran) and set(ran) == set(ENTRIES)
+    assert pipelines.CALLER_ENTRIES < set(ENTRIES)  # each half has entries
+    assert {name for name, pid in ran.items() if pid == str(parent)} == pipelines.CALLER_ENTRIES
+    assert {name for name, pid in ran.items() if pid == str(*forks)} == set(ENTRIES) - pipelines.CALLER_ENTRIES
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_entry_runs_after_a_failure(tmp_path, monkeypatch, cpus):
+    log, run_entry = tmp_path / "ran", pipelines.run_entry
+
+    def recorded(entry, outdir=None):
+        with open(log, "a") as f:
+            f.write(f"{entry.name}\n")
+        return run_entry(entry, outdir)
+
+    monkeypatch.setattr(pipelines, "run_entry", recorded)
+    monkeypatch.setitem(pipelines.RUNNERS, "pair", _failing("pair"))
+    monkeypatch.setitem(pipelines.RUNNERS, "relations", _failing("relations"))
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(SolverError, match="pair runner failed on euler_pair"):
+        pipelines.run_suite(tmp_path / "out")
+    assert sorted(log.read_text().split()) == sorted(ENTRIES)
+    _no_child_left()
+
+
+def test_a_forked_suite_hands_back_every_code_it_compiled(tmp_path, monkeypatch):
+    compiled = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(expr, "CODES", {})
+        forks = _cpus(monkeypatch, cpus)
+        pipelines.run_suite(tmp_path / str(cpus))
+        assert len(forks) == (cpus > 1)
+        compiled[cpus] = set(expr.CODES)
+        _no_child_left()
+    assert compiled[1] <= compiled[2]
+    # and each handed-back code runs: a one-process suite now compiles nothing
+    calls = []
+    monkeypatch.setattr(expr, "compile", lambda *args: calls.append(args) or compile(*args),
+                        raising=False)
+    _cpus(monkeypatch, 1)
+    pipelines.run_suite(tmp_path / "again")
+    assert calls == []
+
+
 def test_a_killed_child_is_one_line_and_no_traceback(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
-    def killed(config, entry, outdir=None):
-        if os.getpid() != parent:  # only ever the child
+    def killed_in_the_child(entry, outdir=None):
+        if os.getpid() != parent:  # the child, at its first entry
             os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("the suite did not fork")
+        return {"facts_ok": True}
 
-    monkeypatch.setitem(pipelines.RUNNERS, "qshort", killed)
+    monkeypatch.setattr(pipelines, "run_entry", killed_in_the_child)
     forks = _cpus(monkeypatch, 2)
     assert run(["suite", "--outdir", str(tmp_path)]) in (2, 3)
-    assert forks == [parent]
+    assert len(forks) == 1
     assert capsys.readouterr().err == (
-        "error: the suite's exact half was killed by signal 9 before it sent its result\n")
+        "error: the suite's forked child was killed by signal 9 before it sent its result\n")
     _no_child_left()
 
 

@@ -181,8 +181,8 @@ def command_lines(draw):
         # a run on an example needs no flag, and a run without one leaves out few
         if draw(st.integers(0, 9)) < (3 if example or flag in optional else 9):
             value = draw(values)
-            if isinstance(value, tuple):  # a leading space keeps "-x" from reading as a flag
-                argv += [flag, *(" " + v if v.startswith("-") else v for v in value)]
+            if isinstance(value, tuple):
+                argv += [flag, *value]
             else:
                 argv.append(f"{flag}={value}")
     if name == "relations" and not any(a.startswith("--deg") for a in argv):

@@ -1,4 +1,4 @@
-"""Every interlace error survives pickling: the suite's exact half sends its failure across a process boundary."""
+"""Every interlace error survives pickling: the suite's forked child sends its failure across a process boundary."""
 
 import inspect
 import pickle

@@ -1,10 +1,13 @@
 """Expression grammar: parse trees, printing stability, evaluation, substitution."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from interlace import expr
 from interlace.errors import (
     CompositionAtUnitError,
     EvaluationSingularityError,
@@ -304,6 +307,30 @@ def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors(
         with pytest.raises(EvaluationSingularityError) as err:
             f(1.0, float(text[-2]))
         assert err.value.subexpr_text == text
+
+
+def test_the_code_cache_stays_whole_under_threads(monkeypatch):
+    monkeypatch.setattr(expr, "CODES", {})
+    errors = []
+
+    def fill(k):
+        try:
+            for i in range(1000):
+                assert expr._code(f"def f(x):\n    return x + {k * 1000 + i}\n", "f").co_name == "f"
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch between the cache's steps
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(expr.CODES) == 256
 
 
 # one row per algebra: how it evaluates a text in x, with x bound to zero

@@ -647,6 +647,15 @@ def test_poly_product_matches_the_fraction_loop(a, b):
     assert got == _exact_reference.poly_mul(p, q) and all(type(c) is F for c in got.coeffs)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100, 1023, 4000])
+def test_poly_power_squares_and_multiplies(n, monkeypatch):
+    products, mul = [], Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    got = Poly.from_coeffs([1, 1]) ** n
+    assert len(products) <= 2 * math.log2(n) + 1 if n else products == []
+    assert got.coeffs == tuple(F(math.comb(n, k)) for k in range(n + 1))
+
+
 # -- closed forms beyond the suite's orders ----------------------------------------------
 
 
