@@ -8,8 +8,10 @@ For each seed, ``python3 perfbench/run.py --workload W --seed S --seconds T``
 runs once in each checkout, one process at a time: odd seeds run PARENT
 first, even seeds CHANGE first, so a drift in host speed does not favour one
 side.  For every end-to-end metric of PARENT's ``BENCHMARK.json`` the script
-prints the parent's median [q1, q3], the change's median and in how many
-pairs the change was better, and then two flags:
+prints the parent's median [q1, q3], the change's median, the median over
+pairs of change/parent (the paired ratio, which a drift in host speed
+between pairs does not move as it moves the two separate medians) and in
+how many pairs the change was better, and then two flags:
 
 - ``gain_rule_met``: the change was better in at least 9 of every 10 pairs
   (a tie counts for neither side), and its median beats the parent's by
@@ -75,6 +77,7 @@ def summarize(runs, better, bounds=None):
         for side, values in (("parent", parent), ("change", change)):
             q1, median, q3 = quartiles(values)
             stats[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        ratios = [c / p for p, c in zip(parent, change) if p]
         gap = stats["change"]["median"] - stats["parent"]["median"]
         gain = gap if direction == "higher" else -gap  # > 0 when the change is better
         bound = bounds.get(name)
@@ -83,6 +86,7 @@ def summarize(runs, better, bounds=None):
             "change_better_pairs": wins,
             "pairs": len(pairs),
             "median_gap": gap,
+            "ratio_median": statistics.median(ratios) if ratios else None,
             "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > stats["parent"]["iqr"],
             "within_bound": None if bound is None
             else -gain <= bound * abs(stats["parent"]["median"]),
@@ -96,10 +100,11 @@ def format_summary(workload, summary, failed):
         if not s["pairs"]:
             lines.append(f"  {name}: no complete pair")
             continue
-        p, c = s["parent"], s["change"]
+        p, c, r = s["parent"], s["change"], s["ratio_median"]
         lines.append(
             f"  {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
-            f" -> change {c['median']:.4g}; change better in {s['change_better_pairs']}/{s['pairs']}"
+            f" -> change {c['median']:.4g}; paired ratio {'none' if r is None else f'{r:.4g}'};"
+            f" change better in {s['change_better_pairs']}/{s['pairs']}"
         )
         lines.append(f"    gain_rule_met: {s['gain_rule_met']}, within_bound: {s['within_bound']}")
     return "\n".join(lines)

@@ -218,12 +218,8 @@ def main(argv=None) -> int:
 
 
 def _series_text(mult_json):
-    exact = mult_json["mode"] == "rational"
-    terms = [
-        (i, c.removesuffix("/1") if exact else c)
-        for i, c in enumerate(mult_json["coeffs"])
-        if (Fraction(c) if exact else float(c)) != 0
-    ]
+    terms = [(i, c.removesuffix("/1")) for i, c in enumerate(mult_json["coeffs"])
+             if Fraction(c) != 0]  # reads both modes' text, a float below the float range too
     return terms_text(terms, mult_json.get("var", "t"))
 
 

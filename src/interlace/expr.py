@@ -27,9 +27,9 @@ never text from the tree.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import re
-import threading
 import types
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -513,22 +513,12 @@ def generated_function(source, label, namespace):
     return types.FunctionType(_code(source, label), namespace)
 
 
-CODES = {}  # (source, label) -> code object, least recently used first
-_CODES_LOCK = threading.Lock()  # one caller at a time reorders and evicts
-
-
-def _code(source, label, code=None):
-    """The code cached for (source, label), else ``code``, else compiled; caches it, 256 at most."""
-    with _CODES_LOCK:
-        code = CODES.pop((source, label), code)
-        if code is None:
-            module = compile(source, "<compile_expr>", "exec")
-            (code,) = (c for c in module.co_consts if isinstance(c, types.CodeType))
-            code = code.replace(co_name=label)
-        CODES[source, label] = code
-        if len(CODES) > 256:
-            del CODES[next(iter(CODES))]
-        return code
+@functools.lru_cache(maxsize=256)
+def _code(source, label):
+    """Compiled once per process for each (source, label); a forked child's copy dies with it."""
+    module = compile(source, "<compile_expr>", "exec")
+    (code,) = (c for c in module.co_consts if isinstance(c, types.CodeType))
+    return code.replace(co_name=label)
 
 
 # -- series substitution --------------------------------------------------

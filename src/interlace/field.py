@@ -349,7 +349,7 @@ def invariance_check(v: VectorField3, c: FormalCurve, order: int, tolerance=1e-3
 
     # magnitudes stay in the coefficient domain: exact ones outgrow floats
     max_res = _magnitude(residuals)
-    scale = max(_magnitude(images + products), 1)
+    scale = _magnitude(images + products)  # a constant factor of the field moves no verdict
     if mode.exact:
         invariant = h is not None and all(r.is_zero() for r in residuals)
         tol = 0.0

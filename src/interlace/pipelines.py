@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dichotomy as _dichotomy
-from . import expr as _expr
 from . import report as _report
 from . import sat as _sat
 from . import series as _series
@@ -240,8 +239,8 @@ def run_tangents(config, entry=None, outdir=None):
 def _frac_str(a):
     if isinstance(a, Fraction):
         return f"{a.numerator}/{a.denominator}"
-    value = float(a)
-    return repr(value) if math.isfinite(value) else str(a)  # a big float beyond the float range
+    value = float(a)  # a big float beyond the float range, or nonzero below it, keeps its text
+    return repr(value) if math.isfinite(value) and (value or not a) else str(a)
 
 
 # -- q-short ------------------------------------------------------------------
@@ -341,12 +340,14 @@ def run_suite(outdir):
 
     Two halves run at once, each in sorted order: the entries in
     ``CALLER_ENTRIES`` here, the rest in one forked child, which hands back
-    its results and the code it compiled.  Every entry runs; then the
-    exception of the first failing entry in sorted order is raised, as a run
-    of all entries one after another would raise it; else summary.json is
-    written.  The suite runs in this process alone when it may use fewer
-    than two CPUs, has no ``os.fork``, or runs another thread.  A tracer or
-    profiler here sees only this process's half of a forked run.
+    only its results.  The child compiles its code again on every suite; that
+    costs nothing end to end, since this process's half is the longer one.
+    Every entry runs; then the exception of the first failing entry in
+    sorted order is raised, as a run of all entries one after another would
+    raise it; else summary.json is written.  The suite runs in this process
+    alone when it may use fewer than two CPUs, has no ``os.fork``, or runs
+    another thread.  A tracer or profiler here sees only this process's half
+    of a forked run.
     """
     outdir = Path(outdir)
     names = sorted(ENTRIES)
@@ -399,14 +400,13 @@ def _run_entries(names, outdir):
 def _run_halves(child_names, own_names, outdir):
     """``_run_entries`` of ``child_names`` in a forked child and of ``own_names`` here, merged.
 
-    The child sends its result and the code it compiled (marshalled) in one
-    pickle through a pipe, and always ends in ``os._exit``: it never returns
-    into its caller's frames, never flushes the buffers it shares with this
-    process and never runs ``atexit``.  The child is read and reaped even
-    when this half raises.
+    The child sends its pickled result through a pipe and always ends in
+    ``os._exit``: it never returns into its caller's frames, never flushes
+    the buffers it shares with this process and never runs ``atexit``.  The
+    code it compiled dies with it.  The child is read and reaped even when
+    this half raises.
     """
-    import marshal  # only a forked suite needs these; every other run is spared their import
-    import pickle
+    import pickle  # only a forked suite needs it; every other run is spared its import
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -414,11 +414,8 @@ def _run_halves(child_names, own_names, outdir):
         status = 1
         try:
             os.close(read_fd)
-            inherited = set(_expr.CODES)
-            facts_ok, failures = _run_entries(child_names, outdir)
-            codes = [(key, marshal.dumps(code)) for key, code in _expr.CODES.items() if key not in inherited]
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps((facts_ok, failures, codes)))
+                pipe.write(pickle.dumps(_run_entries(child_names, outdir)))
             status = 0
         finally:
             os._exit(status)
@@ -430,12 +427,10 @@ def _run_halves(child_names, own_names, outdir):
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     try:
-        child_facts, child_failures, codes = pickle.loads(data)
+        child_facts, child_failures = pickle.loads(data)
     except Exception:  # nothing, or less than a whole result
         how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
         raise ChildProcessError(f"the suite's forked child {how} before it sent its result") from None
-    for key, blob in codes:  # a code this process compiled meanwhile stays
-        _expr._code(*key, marshal.loads(blob))
     return {**facts_ok, **child_facts}, {**failures, **child_failures}
 
 

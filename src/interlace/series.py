@@ -251,16 +251,10 @@ class TruncatedSeries:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("series powers must be integers")
-        result = TruncatedSeries.constant(1, self.order, self.mode, self.var)
+        one = TruncatedSeries.constant(1, self.order, self.mode, self.var)
         if n < 0:
-            return divide(result, self ** -n)  # 1 / self^-n: self must be a unit
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return divide(one, self ** -n)  # 1 / self^-n: self must be a unit
+        return _power(one, self, n)
 
     # -- evaluation & io --------------------------------------------------
 
@@ -371,16 +365,20 @@ class Poly:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of the zero polynomial")
             raise ValueError("negative power of a polynomial")
-        result, base = Poly.from_coeffs([1], self.var), self
-        while n:  # square and multiply: at most 2 log2(n) + 1 products
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base if n else base
-        return result
+        return _power(Poly.from_coeffs([1], self.var), self, n)
 
     def __str__(self):
         return terms_text([(i, str(c)) for i, c in enumerate(self.coeffs) if c != 0], self.var)
+
+
+def _power(result, base, n):
+    """``result`` * base^n for n >= 0 by square and multiply: at most 2 log2(n) + 1 products."""
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        base = base * base if n else base
+    return result
 
 
 # -- exact kernels on integer numerators ---------------------------------------

@@ -120,6 +120,24 @@ def test_a_float_direction_beyond_the_float_range_keeps_its_value(tmp_path, caps
                 "--steps", "1", "--outdir", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.endswith("tangents: (1.0e+400, -3.0e+400)\n")
     assert load_json(tmp_path / "out" / "report.json")["directions"] == [["1.0e+400", "-3.0e+400"]]
+    # and a nonzero one below the float range is no zero
+    assert run(["tangents", "--config", str(cfg), "--curve", f"t/{huge}, t",
+                "--steps", "1", "--outdir", str(tmp_path / "below")]) == 0
+    assert capsys.readouterr().out.endswith("tangents: (1.0e-400, 1.0)\n")
+    assert load_json(tmp_path / "below" / "report.json")["directions"] == [["1.0e-400", "1.0"]]
+
+
+@pytest.mark.parametrize("zeros", [20, 40, 400])
+def test_float_and_exact_invariance_agree_whatever_the_fields_scale(capsys, zeros):
+    # (t, t^2, t^3) is no line, so no multiple of the radial field keeps it;
+    # h = t/Z is printed nonzero in both modes, below the float range too
+    field = [f"{v}/1{'0' * zeros}" for v in "xyz"]
+    for mode in ("exact", "float"):
+        assert run(["invariance", "--mode", mode, "--field", *field, "--curve", "t, t^2, t^3",
+                    "--order", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invariance[inline]: NOT invariant through t^3; h = ")
+        assert out.endswith("*t\n") and "h = 0" not in out
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -818,23 +836,24 @@ def test_every_entry_runs_after_a_failure(tmp_path, monkeypatch, cpus):
     _no_child_left()
 
 
-def test_a_forked_suite_hands_back_every_code_it_compiled(tmp_path, monkeypatch):
-    compiled = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(expr, "CODES", {})
-        forks = _cpus(monkeypatch, cpus)
-        pipelines.run_suite(tmp_path / str(cpus))
-        assert len(forks) == (cpus > 1)
-        compiled[cpus] = set(expr.CODES)
-        _no_child_left()
-    assert compiled[1] <= compiled[2]
-    # and each handed-back code runs: a one-process suite now compiles nothing
-    calls = []
-    monkeypatch.setattr(expr, "compile", lambda *args: calls.append(args) or compile(*args),
-                        raising=False)
-    _cpus(monkeypatch, 1)
-    pipelines.run_suite(tmp_path / "again")
-    assert calls == []
+def test_a_second_forked_suite_compiles_only_in_its_child(tmp_path, monkeypatch):
+    log = tmp_path / "compiled"
+
+    def recorded(*args):
+        with open(log, "a") as f:  # one short append, whole whichever process writes it
+            f.write(f"{os.getpid()}\n")
+        return compile(*args)
+
+    monkeypatch.setattr(expr, "compile", recorded, raising=False)
+    expr._code.cache_clear()  # the child inherits this process's cache: start both halves cold
+    forks = _cpus(monkeypatch, 2)
+    pipelines.run_suite(tmp_path / "first")
+    log.unlink()
+    pipelines.run_suite(tmp_path / "second")
+    assert len(forks) == 2
+    # the calling process keeps its code; the child's ends with it and is compiled again
+    assert set(log.read_text().split()) == {str(forks[1])}
+    _no_child_left()
 
 
 def test_a_killed_child_is_one_line_and_no_traceback(tmp_path, capsys, monkeypatch):

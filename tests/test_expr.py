@@ -309,8 +309,8 @@ def test_functions_compiled_from_one_source_keep_their_own_constants_and_errors(
         assert err.value.subexpr_text == text
 
 
-def test_the_code_cache_stays_whole_under_threads(monkeypatch):
-    monkeypatch.setattr(expr, "CODES", {})
+def test_the_code_cache_stays_whole_under_threads():
+    expr._code.cache_clear()
     errors = []
 
     def fill(k):
@@ -330,7 +330,7 @@ def test_the_code_cache_stays_whole_under_threads(monkeypatch):
             t.join()
     finally:
         sys.setswitchinterval(interval)
-    assert errors == [] and len(expr.CODES) == 256
+    assert errors == [] and expr._code.cache_info().currsize == 256
 
 
 # one row per algebra: how it evaluates a text in x, with x bound to zero

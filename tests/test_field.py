@@ -102,6 +102,14 @@ def test_float_mode_invariance_uses_scaled_residual():
     assert rep.max_residual <= 1e-30 * rep.scale
 
 
+def test_a_constant_factor_of_the_field_moves_no_float_verdict():
+    # the scale is the largest coefficient magnitude, with no floor at 1
+    z = "1" + "0" * 40
+    small = VectorField3.from_text("xi1_small", f"2*x^2/{z}", f"2*(y-x)/{z}", f"(z-2*x)/{z}")
+    rep = invariance_check(small, parse_curve("t, E(t), E(2*t)", 21, float_mode(128)), 20)
+    assert rep.invariant and 0 < rep.scale < 1
+
+
 def test_constant_third_component_is_tolerated():
     # one vanishing derivative is fine as long as some component moves
     field = VectorField3.from_text("flat_z", "x", "y", "0")

@@ -136,11 +136,23 @@ def test_bench_pairs_summary_of_synthetic_runs():
     assert ops["change_better_pairs"] == 3
     assert summary["op_p50_s"]["change_better_pairs"] == 3
     assert summary["op_p50_s"]["parent"]["median"] == 1 / 6
+    # the median of 6/4, 4/5, 7/6, 9/7 and 8/8; of their inverses for op_p50_s
+    assert ops["ratio_median"] == 7 / 6
+    assert summary["op_p50_s"]["ratio_median"] == pytest.approx(6 / 7)
     text = bench.format_summary("pair_tight", summary, failed=1)
     assert text.splitlines()[:2] == [
         "pair_tight: 1 failed runs",
-        "  ops_per_s: parent 6 [5, 7] -> change 7; change better in 3/5",
+        "  ops_per_s: parent 6 [5, 7] -> change 7; paired ratio 1.167; change better in 3/5",
     ]
+    # a host that speeds up between pairs: the medians favour the change, the
+    # paired ratio and the win count do not
+    drift = bench.summarize(_paired([1.0, 2.0, 3.0, 10.0, 11.0], [0.9, 1.8, 9.0, 9.5, 10.45]),
+                            {"ops_per_s": "higher"})["ops_per_s"]
+    assert drift["median_gap"] == 6.0 and drift["change_better_pairs"] == 1
+    assert drift["ratio_median"] == 0.95
+    # a parent value of 0 gives no ratio
+    assert bench.summarize(_paired([0.0], [1.0]), {"ops_per_s": "higher"})[
+        "ops_per_s"]["ratio_median"] is None
 
 
 def test_bench_pairs_edge_cases():
@@ -208,7 +220,7 @@ def test_bench_pairs_bound_rule_on_synthetic_runs():
     text = bench.format_summary("pair_tight", bench.summarize(
         _paired(parent, [3.0] * 5), {"ops_per_s": "higher"}, bounds), failed=0)
     assert text.splitlines()[1:] == [
-        "  ops_per_s: parent 4 [4, 4] -> change 3; change better in 0/5",
+        "  ops_per_s: parent 4 [4, 4] -> change 3; paired ratio 0.75; change better in 0/5",
         "    gain_rule_met: False, within_bound: True",
     ]
 

@@ -649,11 +649,13 @@ def test_poly_product_matches_the_fraction_loop(a, b):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100, 1023, 4000])
 def test_poly_power_squares_and_multiplies(n, monkeypatch):
-    products, mul = [], Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-    got = Poly.from_coeffs([1, 1]) ** n
-    assert len(products) <= 2 * math.log2(n) + 1 if n else products == []
-    assert got.coeffs == tuple(F(math.comb(n, k)) for k in range(n + 1))
+    # both algebras share one routine: each makes the same products
+    for one_plus_x, length in ((Poly.from_coeffs([1, 1]), n + 1), (S([1, 1], 20), 21)):
+        products, mul = [], type(one_plus_x).__mul__
+        monkeypatch.setattr(type(one_plus_x), "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        got = one_plus_x ** n
+        assert len(products) <= 2 * math.log2(n) + 1 if n else products == []
+        assert got.coeffs == tuple(F(math.comb(n, k)) for k in range(length))
 
 
 # -- closed forms beyond the suite's orders ----------------------------------------------
